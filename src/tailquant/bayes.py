@@ -6,11 +6,14 @@ plugged in as a known constant.  Normal prior and normal likelihood give a
 normal posterior in closed form:
 
     mean     = (sigma_n^2 * mu + sigma^2 * xhat) / (sigma^2 + sigma_n^2)
-    variance = (1/sigma^2 + 1/sigma_n^2)^-1
+    variance = sigma^2 * sigma_n^2 / (sigma^2 + sigma_n^2)
 
 The mean is kept in this weighted-sum form so that the convex-combination
 property is directly visible: the prior weight sigma_n^2/(sigma^2+sigma_n^2)
 moves toward 1 when the data are noisy and toward 0 when they are precise.
+A sample variance of exactly 0 (every observation the bootstrap weighs is
+tied) is the sigma_n^2 -> 0 limit: prior weight 0, posterior mean equal to
+the sample quantile, posterior variance 0.
 """
 
 from __future__ import annotations
@@ -35,9 +38,14 @@ __all__ = [
 ]
 
 
-def _check_variance(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+def _check_variance(name: str, value: float, *, allow_zero: bool = False) -> None:
+    if not (
+        isinstance(value, (int, float))
+        and math.isfinite(value)
+        and (value > 0.0 or (allow_zero and value == 0.0))
+    ):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise DomainError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,13 +70,17 @@ class VarianceSource(Enum):
 
 @dataclass(frozen=True)
 class LikelihoodSpec:
-    """Normal likelihood for the sample quantile with plug-in variance."""
+    """Normal likelihood for the sample quantile with plug-in variance.
+
+    A variance of 0 is accepted: it is what the analytic bootstrap returns
+    when every observation it weighs equals the sample quantile.
+    """
 
     sample_variance: float
     source: VarianceSource
 
     def __post_init__(self):
-        _check_variance("sample variance", self.sample_variance)
+        _check_variance("sample variance", self.sample_variance, allow_zero=True)
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,7 @@ class PosteriorBelief:
     prior_only: bool = False
 
     def __post_init__(self):
-        _check_variance("posterior variance", self.variance)
+        _check_variance("posterior variance", self.variance, allow_zero=True)
         if self.prior_only:
             if self.prior_weight != 1.0:
                 raise DomainError("prior-only posterior must carry prior_weight = 1")
@@ -134,7 +146,9 @@ def posterior(
     w = sn2 / (s2 + sn2)
     return PosteriorBelief(
         mean=w * prior.mean + (1.0 - w) * xhat,
-        variance=1.0 / (1.0 / s2 + 1.0 / sn2),
+        # s2 * sn2 / (s2 + sn2), grouped so that the product cannot overflow;
+        # unlike 1/(1/s2 + 1/sn2) it is defined at sn2 = 0
+        variance=s2 * w,
         prior_weight=w,
     )
 

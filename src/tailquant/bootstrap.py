@@ -8,10 +8,22 @@ closed form
     w_i = r * C(n, r) * integral over ((i-1)/n, i/n] of y^(r-1) (1-y)^(n-r) dy
         = I_{i/n}(r, n-r+1) - I_{(i-1)/n}(r, n-r+1),
 
-using r * C(n, r) = 1 / B(r, n-r+1).  The variance estimate is the weighted
-second moment of the sample about x_(r).  Weights depend only on (n, r), so
-they are memoized; the cache is a transparent, idempotent memo and cannot
-change results.
+using r * C(n, r) = 1 / B(r, n-r+1) (Maritz & Jarrett 1978; Hutson & Ernst
+2000, "The exact bootstrap mean and variance of an L-estimator", JRSS-B).
+The variance estimate is the weighted second moment of the sample about
+x_(r).
+
+The weights are increments of the Beta(r, n-r+1) CDF, whose mass sits in a
+window of about r +/- c*sqrt(r) cells, so the CDF is evaluated only there.
+Starting at CDF index r, the walk goes down until I_{lo/n} < _MASS_FLOOR
+(or lo = 0) and up until 1 - I_{hi/n} < _MASS_FLOOR (or hi = n).  Every
+cell outside (lo, hi] then has an increment below the floor, which the
+weights zero anyway, so the window holds exactly the weights a pass over all
+n+1 CDF values would give, at a cost of hi - lo + 1 evaluations instead of
+n + 1.  The variance needs only x_(lo+1..hi).
+
+Weights depend only on (n, r), so they are memoized; the cache is a
+transparent, idempotent memo and cannot change results.
 """
 
 from __future__ import annotations
@@ -36,20 +48,40 @@ _WEIGHT_SUM_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class BootstrapWeights:
-    """Resampling probabilities of the rank-r order statistic landing on each cell."""
+    """Resampling probabilities of the rank-r order statistic landing on each cell.
+
+    Only the one-based cells lo+1..hi can carry mass: ``window`` holds their
+    weights, and every other cell's weight is exactly 0.
+    """
 
     n: int
     r: int
-    w: np.ndarray
+    lo: int
+    window: np.ndarray
 
     def __post_init__(self):
-        if self.w.shape != (self.n,):
-            raise ValueError(f"expected {self.n} weights, got shape {self.w.shape}")
-        if np.any(self.w < 0.0):
+        if self.window.ndim != 1 or not 0 <= self.lo < self.hi <= self.n:
+            raise ValueError(
+                f"a window of {self.window.shape} weights from cell {self.lo + 1} "
+                f"does not fit in {self.n} cells"
+            )
+        if np.any(self.window < 0.0):
             raise ValueError("bootstrap weights must be non-negative")
-        total = float(np.sum(self.w))
+        total = float(np.sum(self.window))
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"bootstrap weights sum to {total!r}, expected 1")
+
+    @property
+    def hi(self) -> int:
+        return self.lo + self.window.size
+
+    @functools.cached_property
+    def w(self) -> np.ndarray:
+        """All n weights w_1..w_n, zero outside the window."""
+        w = np.zeros(self.n)
+        w[self.lo : self.hi] = self.window
+        w.flags.writeable = False
+        return w
 
 
 @dataclass(frozen=True)
@@ -66,22 +98,34 @@ class VarianceEstimate:
 
 
 @functools.lru_cache(maxsize=16)
-def _weights_array(n: int, r: int) -> np.ndarray:
+def _window_weights(n: int, r: int) -> BootstrapWeights:
     params = BetaParams(float(r), float(n - r + 1))
-    cdf = np.empty(n + 1)
-    for i in range(n + 1):
-        cdf[i] = regularized_incomplete_beta(i / n, params)
-    w = np.diff(cdf)
-    w[w < _MASS_FLOOR] = 0.0
-    w.flags.writeable = False
-    return w
+
+    def cdf(i: int) -> float:
+        return regularized_incomplete_beta(i / n, params)
+
+    lo = hi = r
+    lower = [cdf(r)]  # I_{i/n} for i = r, r-1, ..., lo
+    while lo > 0 and lower[-1] >= _MASS_FLOOR:
+        lo -= 1
+        lower.append(cdf(lo))
+    upper = []  # I_{i/n} for i = r+1, ..., hi
+    top = lower[0]
+    while hi < n and 1.0 - top >= _MASS_FLOOR:
+        hi += 1
+        top = cdf(hi)
+        upper.append(top)
+    window = np.diff(np.array(lower[::-1] + upper))
+    window[window < _MASS_FLOOR] = 0.0
+    window.flags.writeable = False
+    return BootstrapWeights(n=n, r=r, lo=lo, window=window)
 
 
 def bootstrap_weights(n: int, r: int) -> BootstrapWeights:
     """Exact infinite-resample weights w_1..w_n for the rank-r order statistic."""
     if not 1 <= r <= n:
         raise RankOutOfRange(f"rank must lie in 1..{n}, got {r}")
-    return BootstrapWeights(n=n, r=r, w=_weights_array(n, r))
+    return _window_weights(n, r)
 
 
 def bootstrap_variance(
@@ -90,11 +134,13 @@ def bootstrap_variance(
     """Analytic bootstrap variance of the sample p-quantile.
 
     Computes the weighted second moment of the observations about x_(r)
-    with r = floor(n*p).  Raises InsufficientSamples when r would be zero.
+    with r = floor(n*p), over the weight window only.  Raises
+    InsufficientSamples when r would be zero.
     """
     n = sorted_sample.n
     r = quantile_rank(n, p)
     weights = bootstrap_weights(n, r)
-    dev = sorted_sample.values - sorted_sample.values[r - 1]
-    value = float(np.dot(dev * dev, weights.w))
+    values = sorted_sample.values
+    dev = values[weights.lo : weights.hi] - values[r - 1]
+    value = float(np.dot(dev * dev, weights.window))
     return VarianceEstimate(value=max(value, 0.0), n=n, r=r)

@@ -1,7 +1,7 @@
 """Log-domain special functions: log-gamma, log-binomial, regularized incomplete beta.
 
 Everything here exists so that order-statistic weight integrals with sample
-sizes up to 1e5 can be evaluated without overflow: products such as
+sizes up to 1e7 can be evaluated without overflow: products such as
 C(n,r) * y^(r-1) * (1-y)^(n-r) are assembled in log space and exponentiated
 last.  A high-accuracy normal quantile is included for inverse-CDF sampling.
 """

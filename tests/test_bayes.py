@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,15 @@ from tailquant.bayes import (
     marginal_moments,
     posterior,
 )
+from tailquant.bootstrap import bootstrap_variance
 from tailquant.errors import DomainError
-from tailquant.estimators import ProbabilityLevel, QuantileEstimate
+from tailquant.estimators import (
+    ProbabilityLevel,
+    QuantileEstimate,
+    SortedSample,
+    min_sample_size,
+    sample_quantile,
+)
 
 means = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 variances = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
@@ -30,10 +38,14 @@ class TestValidation:
         with pytest.raises(DomainError):
             PriorBelief(0.0, var)
 
-    @pytest.mark.parametrize("var", [0.0, -0.5, math.inf, math.nan])
+    @pytest.mark.parametrize("var", [-0.5, -1e-300, math.inf, math.nan])
     def test_likelihood_rejects_bad_variance(self, var):
         with pytest.raises(DomainError):
             LikelihoodSpec(var, VarianceSource.BOOTSTRAPPED)
+
+    def test_likelihood_accepts_zero_variance(self):
+        # the bootstrap variance of a sample whose weighted values are all tied
+        assert LikelihoodSpec(0.0, VarianceSource.BOOTSTRAPPED).sample_variance == 0.0
 
     def test_prior_rejects_non_finite_mean(self):
         with pytest.raises(DomainError):
@@ -137,6 +149,17 @@ class TestPosterior:
         assert one.mean == pytest.approx(other.mean, rel=1e-12, abs=1e-12)
         assert one.variance == pytest.approx(other.variance, rel=1e-12)
 
+    def test_zero_sample_variance_is_the_precise_limit(self):
+        belief = posterior(PriorBelief(-1.0, 0.5), 3.0, known(0.0))
+        assert belief.mean == 3.0
+        assert belief.variance == 0.0
+        assert belief.prior_weight == 0.0
+
+    def test_huge_variances_do_not_overflow(self):
+        belief = posterior(PriorBelief(0.0, 1e300), 2.0, known(1e300))
+        assert belief.variance == pytest.approx(5e299, rel=1e-15)
+        assert belief.prior_weight == 0.5
+
     def test_monotone_toward_prior_as_noise_grows(self):
         prior = PriorBelief(0.0, 1.0)
         xhat = 3.0
@@ -159,3 +182,38 @@ class TestFuse:
         assert belief.mean == prior.mean
         assert belief.variance == prior.variance
         assert belief.prior_weight == 1.0
+
+
+# Discrete samples: a few distinct values, each repeated, so that every
+# observation the bootstrap weighs can be tied with the sample quantile.
+tied_samples = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(1, 150)), min_size=1, max_size=4
+).map(lambda runs: np.sort(np.repeat([float(v) for v, _ in runs], [c for _, c in runs])))
+
+
+class TestTiedData:
+    @given(
+        values=tied_samples,
+        p=st.sampled_from([0.01, 0.05, 0.2, 0.5, 0.9]),
+        mu=means,
+        s2=variances,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_posterior_is_defined_on_tied_samples(self, values, p, mu, s2):
+        if values.size < min_sample_size(p):
+            return
+        ordered = SortedSample(values)
+        estimate = sample_quantile(ordered, p)
+        sn2 = bootstrap_variance(ordered, p).value
+        belief = posterior(
+            PriorBelief(mu, s2), estimate, LikelihoodSpec(sn2, VarianceSource.BOOTSTRAPPED)
+        )
+        assert sn2 >= 0.0
+        assert 0.0 <= belief.prior_weight <= 1.0
+        assert 0.0 <= belief.variance <= s2
+        if sn2 == 0.0:
+            assert belief.prior_weight == 0.0
+            assert belief.mean == estimate.value
+            assert belief.variance == 0.0
+        if np.all(values == values[0]):
+            assert sn2 == 0.0

@@ -1,19 +1,22 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import betainc, betaincc
 
 import tailquant.special_functions as sf
 from tailquant.bootstrap import (
+    _MASS_FLOOR,
     VarianceEstimate,
-    _weights_array,
+    _window_weights,
     bootstrap_variance,
     bootstrap_weights,
 )
 from tailquant.distributions import RngStream, rate_for_quantile
 from tailquant.errors import InsufficientSamples, NoConvergence, RankOutOfRange
-from tailquant.estimators import SortedSample, sort_ascending
+from tailquant.estimators import SortedSample, quantile_rank, sort_ascending
 
 
 def quadrature_weights(n: int, r: int) -> np.ndarray:
@@ -28,6 +31,27 @@ def quadrature_weights(n: int, r: int) -> np.ndarray:
         value, _ = integrate.quad(integrand, (i - 1) / n, i / n, epsabs=1e-12, epsrel=1e-12)
         out[i - 1] = coeff * value
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def dense_weights(n: int, r: int) -> np.ndarray:
+    """Reference: all n+1 CDF values, differenced, increments below the floor zeroed."""
+    params = sf.BetaParams(float(r), float(n - r + 1))
+    cdf = np.array([sf.regularized_incomplete_beta(i / n, params) for i in range(n + 1)])
+    w = np.diff(cdf)
+    w[w < _MASS_FLOOR] = 0.0
+    return w
+
+
+def window_grid() -> list[tuple[int, int]]:
+    """(n, r) with r = 1, r = n and r = floor(n*p) over tail and central p."""
+    cases = set()
+    for n in (1, 2, 3, 7, 64, 1000, 9973, 30_000):
+        cases.update({(n, 1), (n, n)})
+        for p in (0.001, 0.01, 0.1, 0.5, 0.9):
+            if math.floor(n * p) >= 1:
+                cases.add((n, math.floor(n * p)))
+    return sorted(cases)
 
 
 class TestBootstrapWeights:
@@ -66,11 +90,54 @@ class TestBootstrapWeights:
 
     def test_no_convergence_propagates(self, monkeypatch):
         monkeypatch.setattr(sf, "CF_MAX_ITER", 1)
-        _weights_array.cache_clear()
+        _window_weights.cache_clear()
         with pytest.raises(NoConvergence):
             bootstrap_weights(53, 7)
         monkeypatch.undo()
-        _weights_array.cache_clear()
+        _window_weights.cache_clear()
+
+
+class TestWeightWindow:
+    @pytest.mark.parametrize("n,r", window_grid())
+    def test_bit_identical_to_dense(self, n, r):
+        weights = bootstrap_weights(n, r)
+        dense = dense_weights(n, r)
+        assert weights.lo < r <= weights.hi
+        assert weights.w.tobytes() == dense.tobytes()
+        assert weights.window.tobytes() == dense[weights.lo : weights.hi].tobytes()
+
+    @pytest.mark.parametrize("n", [100, 1000, 9973, 30_000])
+    @pytest.mark.parametrize("p", [0.01, 0.5, 0.9])
+    def test_variance_matches_dense_dot(self, n, p):
+        data = np.sort(np.random.default_rng(n).standard_normal(n))
+        r = quantile_rank(n, p)
+        expected = float(np.dot((data - data[r - 1]) ** 2, dense_weights(n, r)))
+        value = bootstrap_variance(SortedSample(data), p).value
+        assert value == pytest.approx(expected, rel=1e-13)
+
+    def test_window_is_narrow(self):
+        # the Beta(r, n-r+1) mass sits within about r +/- c*sqrt(r) cells:
+        # 162 CDF increments are computed here instead of 1e5
+        weights = bootstrap_weights(100_000, 100)
+        assert weights.window.size < 200
+        assert np.count_nonzero(weights.w) == np.count_nonzero(weights.window)
+
+    @pytest.mark.parametrize("n", [10**6, 10**7])
+    @pytest.mark.parametrize("p", [0.01, 0.001])
+    def test_large_n_matches_scipy(self, n, p):
+        r = math.floor(n * p)
+        a, b = r, n - r + 1
+        weights = bootstrap_weights(n, r)
+        reference = np.diff(betainc(a, b, np.arange(weights.lo, weights.hi + 1) / n))
+        # ln B(a, b) is a difference of log-gammas of size ~ln Gamma(n+1), so
+        # its rounding error is a few ulps of that; it scales the prefactor of
+        # every CDF value and lands on the weight where the incomplete beta
+        # switches to its complement branch
+        atol = 4 * math.ulp(math.lgamma(n + 1.0))
+        np.testing.assert_allclose(weights.window, reference, rtol=0.0, atol=atol)
+        assert betainc(a, b, weights.lo / n) < _MASS_FLOOR
+        # the walk reads 1 - I from a double near 1, which resolves it to eps
+        assert betaincc(a, b, weights.hi / n) < _MASS_FLOOR + np.finfo(float).eps
 
 
 class TestBootstrapVariance:

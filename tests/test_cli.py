@@ -82,6 +82,21 @@ class TestEstimate:
         assert abs(posterior_mean - quantile) <= 1e-6 * abs(quantile)
         assert float(pairs["prior_weight"]) < 1e-6
 
+    def test_tied_data_with_prior_is_the_zero_variance_limit(self, capsys, tmp_path):
+        path = tmp_path / "tied.txt"
+        path.write_text("5\n" * 200)
+        code, out, err = run_cli(
+            capsys, "estimate", str(path), "--p-value", "0.01",
+            "--prior-mean", "0", "--prior-var", "1", "--variance-mode", "bootstrap",
+        )
+        assert (code, err) == (0, "")
+        pairs = parse_kv(out)
+        assert pairs["quantile"] == "5"
+        assert pairs["bootstrap_variance"] == "0"
+        assert pairs["posterior_mean"] == "5"
+        assert pairs["posterior_variance"] == "0"
+        assert pairs["prior_weight"] == "0"
+
     def test_prior_fusion_reported(self, capsys, hundred_file):
         code, out, _ = run_cli(
             capsys, "estimate", str(hundred_file), "--p-value", "0.2",
