@@ -20,7 +20,10 @@ Starting at CDF index r, the walk goes down until I_{lo/n} < _MASS_FLOOR
 cell outside (lo, hi] then has an increment below the floor, which the
 weights zero anyway, so the window holds exactly the weights a pass over all
 n+1 CDF values would give, at a cost of hi - lo + 1 evaluations instead of
-n + 1.  The variance needs only x_(lo+1..hi).
+n + 1.  The variance needs only x_(lo+1..hi) and x_(r), so `tail_variance`
+takes any ascending array that holds at least x_(1..hi): a simulation trial
+draws only those lowest order statistics, and `bootstrap_variance` passes a
+whole sorted sample.
 
 Weights depend only on (n, r), so they are memoized; the cache is a
 transparent, idempotent memo and cannot change results.
@@ -29,15 +32,22 @@ transparent, idempotent memo and cannot change results.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankOutOfRange
+from .errors import DomainError, RankOutOfRange
 from .estimators import ProbabilityLevel, SortedSample, quantile_rank
 from .special_functions import BetaParams, regularized_incomplete_beta
 
-__all__ = ["BootstrapWeights", "VarianceEstimate", "bootstrap_weights", "bootstrap_variance"]
+__all__ = [
+    "BootstrapWeights",
+    "VarianceEstimate",
+    "bootstrap_weights",
+    "bootstrap_variance",
+    "tail_variance",
+]
 
 # Adjacent CDF values that agree to below this level carry no resolvable
 # probability mass; their difference is pure cancellation noise.
@@ -131,16 +141,30 @@ def bootstrap_weights(n: int, r: int) -> BootstrapWeights:
 def bootstrap_variance(
     sorted_sample: SortedSample, p: float | ProbabilityLevel
 ) -> VarianceEstimate:
-    """Analytic bootstrap variance of the sample p-quantile.
+    """Analytic bootstrap variance of the sample p-quantile, r = floor(n*p).
 
-    Computes the weighted second moment of the observations about x_(r)
-    with r = floor(n*p), over the weight window only.  Raises
-    InsufficientSamples when r would be zero.
+    Raises InsufficientSamples when r would be zero; see `tail_variance`.
     """
     n = sorted_sample.n
-    r = quantile_rank(n, p)
-    weights = bootstrap_weights(n, r)
-    values = sorted_sample.values
-    dev = values[weights.lo : weights.hi] - values[r - 1]
-    value = float(np.dot(dev * dev, weights.window))
-    return VarianceEstimate(value=max(value, 0.0), n=n, r=r)
+    return tail_variance(sorted_sample.values, bootstrap_weights(n, quantile_rank(n, p)))
+
+
+def tail_variance(tail: np.ndarray, weights: BootstrapWeights) -> VarianceEstimate:
+    """Weighted second moment about x_(r) of the sorted observations, window only.
+
+    ``tail`` is trusted, not re-validated: an ascending array holding at
+    least x_(1..hi) of the n observations the weights were built for.  Cells
+    whose weight is 0 contribute exactly 0, even where their squared
+    deviation overflows.  Raises DomainError when the weighted moment itself
+    is not finite.
+    """
+    window = weights.window
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = tail[weights.lo : weights.hi] - tail[weights.r - 1]
+        value = float(np.dot(np.where(window > 0.0, dev * dev, 0.0), window))
+    if not math.isfinite(value):
+        raise DomainError(
+            f"bootstrap variance is not finite ({value!r}): "
+            "squared deviations from the sample quantile overflow"
+        )
+    return VarianceEstimate(value=max(value, 0.0), n=weights.n, r=weights.r)

@@ -5,9 +5,22 @@ real line and a heavy lower tail, which makes it a convenient stress model
 for low-quantile estimation.  `rate_for_quantile` calibrates the rate so a
 chosen point is exactly the p-quantile.
 
-All sampling is inverse-CDF on uniforms drawn from the open interval (0, 1)
-(a 53-bit lattice that excludes both endpoints), so every draw is finite and
-every draw sequence is a pure function of (seed, stream path).
+All sampling is inverse-CDF on uniforms drawn from the open interval (0, 1),
+so every draw is finite and every draw sequence is a pure function of
+(seed, stream path).  The uniforms are u = k * 2^-53 for exact integers k in
+1..2^53-1 (a 53-bit lattice that excludes both endpoints).
+
+`LogExponential.lowest(n, k, rng)` returns the k smallest of the n draws that
+`sample(n, rng)` makes, bit for bit, without transforming or sorting the
+other n - k.  Two facts make that exact.  The lattice integers are exact, so
+selecting the k smallest of them (an O(n) `np.partition` on int64) involves
+no rounding.  The map k -> log(-log1p(-k * 2^-53)) - log(rate) is
+increasing and applied elementwise, so the transform of the k smallest
+integers, in ascending order, is the k smallest draws, in ascending order;
+each value comes from the same integer through the same floating-point
+operations as in `sample`.  `lowest` checks that its output is finite and
+ascending, so a rounding that broke monotonicity would raise instead of
+silently changing results.
 """
 
 from __future__ import annotations
@@ -61,9 +74,14 @@ class RngStream:
         return np.random.Generator(np.random.Philox(ss))
 
 
-def _open_uniform(gen: np.random.Generator, size: int | None = None):
-    # 53-bit lattice k/2^53 with k in 1..2^53-1: strictly inside (0, 1)
-    return gen.integers(1, 2**53, size=size) * 2.0**-53
+def _lattice(gen: np.random.Generator, size: int | None = None):
+    """Integers k in 1..2^53-1; each is the uniform k/2^53 of `_unit`."""
+    return gen.integers(1, 2**53, size=size)
+
+
+def _unit(k):
+    # the 53-bit lattice k/2^53: exact, strictly inside (0, 1)
+    return k * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -106,10 +124,35 @@ class LogExponential:
 
     def sample(self, n: int, rng: RngStream) -> Sample:
         """n independent inverse-CDF draws, deterministic given the stream."""
-        if not (isinstance(n, int) and n >= 1):
-            raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
-        u = _open_uniform(rng.generator(), n)
-        return Sample(np.log(-np.log1p(-u)) - math.log(self.rate))
+        _check_size(n)
+        return Sample(self._from_lattice(_lattice(rng.generator(), n)))
+
+    def lowest(self, n: int, k: int, rng: RngStream) -> np.ndarray:
+        """The k smallest of the n draws `sample(n, rng)` makes, ascending, bit for bit.
+
+        Costs one O(n) integer select plus O(k log k); only k values are
+        transformed.  Returns a read-only array.
+        """
+        _check_size(n)
+        if not (isinstance(k, int) and 1 <= k <= n):
+            raise DomainError(f"k must be an integer in 1..{n}, got {k!r}")
+        smallest = np.sort(np.partition(_lattice(rng.generator(), n), k - 1)[:k])
+        values = self._from_lattice(smallest)
+        if not np.all(np.isfinite(values)):
+            raise DomainError("draws must all be finite")
+        if np.any(values[1:] < values[:-1]):
+            raise DomainError("the inverse-CDF transform is not monotone on these draws")
+        values.flags.writeable = False
+        return values
+
+    def _from_lattice(self, k: np.ndarray) -> np.ndarray:
+        # inverse CDF at the lattice uniforms; increasing in k
+        return np.log(-np.log1p(-_unit(k))) - math.log(self.rate)
+
+
+def _check_size(n: int) -> None:
+    if not (isinstance(n, int) and n >= 1):
+        raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
 
 
 def _finite(x: float) -> float:
@@ -163,5 +206,5 @@ class NormalParams:
 
 def normal_draw(params: NormalParams, rng: RngStream) -> float:
     """One N(mean, variance) draw by inverse CDF on a single open uniform."""
-    u = float(_open_uniform(rng.generator()))
+    u = float(_unit(_lattice(rng.generator())))
     return params.mean + math.sqrt(params.variance) * normal_quantile(u)

@@ -6,6 +6,12 @@ three ways: the raw sample quantile, the Bayesian posterior mean with the
 asymptotic (true-density) variance, and the posterior mean with the analytic
 bootstrap variance.  RMSE per grid cell is aggregated over trials.
 
+A trial reads only the lowest order statistics of its sample: x_(r) for the
+sample quantile and, for the bootstrap variance, x_(1..hi), where hi is the
+top of the bootstrap weight window (about r + c*sqrt(r)).  It draws just
+those with `LogExponential.lowest`, which returns them bit for bit as
+sorting the full sample would, so the results equal the full-sample path's.
+
 Reproducibility contract: every trial owns a substream addressed by the
 content of its grid cell (bit patterns of p and sigma^2, the sample size,
 and the trial index), never by position in the grid.  Removing or adding
@@ -25,10 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from .bayes import LikelihoodSpec, PriorBelief, VarianceSource, posterior
-from .bootstrap import bootstrap_variance
+from .bootstrap import bootstrap_weights, tail_variance
 from .distributions import NormalParams, RngStream, asymptotic_variance, normal_draw, rate_for_quantile
 from .errors import ConfigError, DomainError, EmptyInput
-from .estimators import ProbabilityLevel, _as_level, min_sample_size, sample_quantile, sort_ascending
+from .estimators import ProbabilityLevel, _as_level, min_sample_size, quantile_rank
 
 __all__ = [
     "Method",
@@ -220,26 +226,31 @@ def run_trial(
 
     Draws the true quantile from the prior, calibrates the model, draws the
     sample once, and evaluates every requested method on that same sample.
-    Methods consume no randomness of their own.
+    Only the lowest r order statistics are drawn, or the lowest hi when the
+    bootstrap variance is requested.  Methods consume no randomness of their
+    own.
     """
     level = _as_level(p)
+    r = quantile_rank(n, level)
+    weights = bootstrap_weights(n, r) if Method.BAYES_BOOTSTRAP in methods else None
     x_p = normal_draw(
         NormalParams(prior.mean, prior.variance), rng.child(_DRAW_QUANTILE)
     )
     model = rate_for_quantile(x_p, level)
-    sorted_sample = sort_ascending(model.sample(n, rng.child(_DRAW_SAMPLE)))
-    estimate = sample_quantile(sorted_sample, level)
+    k = r if weights is None else weights.hi
+    tail = model.lowest(n, k, rng.child(_DRAW_SAMPLE))
+    estimate = float(tail[r - 1])
 
     estimates: dict[Method, float] = {}
     for method in methods:
         if method is Method.SAMPLE:
-            estimates[method] = estimate.value
+            estimates[method] = estimate
         elif method is Method.BAYES_KNOWN:
             sn2 = asymptotic_variance(level, n, model.pdf(x_p))
             belief = posterior(prior, estimate, LikelihoodSpec(sn2, VarianceSource.KNOWN))
             estimates[method] = belief.mean
         elif method is Method.BAYES_BOOTSTRAP:
-            s2 = bootstrap_variance(sorted_sample, level).value
+            s2 = tail_variance(tail, weights).value
             belief = posterior(
                 prior, estimate, LikelihoodSpec(s2, VarianceSource.BOOTSTRAPPED)
             )
@@ -275,7 +286,9 @@ def _run_cell(config: ExperimentConfig, cell: tuple[float, int, float]) -> dict[
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RmseTable:
-    """RMSE table over the whole grid; deterministic for any worker count."""
+    """RMSE table over the whole grid; deterministic for any worker count >= 1."""
+    if not (isinstance(workers, int) and workers >= 1):
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     cells = config.cells()
     if workers > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

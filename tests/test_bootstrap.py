@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from tailquant.bootstrap import (
     _window_weights,
     bootstrap_variance,
     bootstrap_weights,
+    tail_variance,
 )
 from tailquant.distributions import RngStream, rate_for_quantile
-from tailquant.errors import InsufficientSamples, NoConvergence, RankOutOfRange
+from tailquant.errors import DomainError, InsufficientSamples, NoConvergence, RankOutOfRange
 from tailquant.estimators import SortedSample, quantile_rank, sort_ascending
 
 
@@ -181,6 +183,35 @@ class TestBootstrapVariance:
             values.append(bootstrap_variance(sort_ascending(sample), p).value)
         med = float(np.median(values))
         assert abs(med - target) / target < 0.25
+
+    def test_overflow_in_zero_weight_cells_is_ignored(self):
+        # n = 1000, r = 10: the window is cells 1..58 and cell 58 has weight 0,
+        # so 1e200 from cell 58 on leaves the weighted moment finite
+        n, p = 1000, 0.01
+        weights = bootstrap_weights(n, quantile_rank(n, p))
+        assert (weights.lo, weights.hi) == (0, 58) and weights.window[-1] == 0.0
+        low = np.arange(1.0, 58.0)
+        huge = np.concatenate([low, np.full(n - 57, 1e200)])
+        moderate = np.concatenate([low, np.full(n - 57, 1e3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = bootstrap_variance(SortedSample(huge), p).value
+        assert math.isfinite(value)
+        assert value == bootstrap_variance(SortedSample(moderate), p).value
+
+    def test_overflow_in_weighted_cells_raises(self):
+        data = SortedSample([-1e200] + [1e200] * 99)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                bootstrap_variance(data, 0.01)
+
+    @pytest.mark.parametrize("n,p", [(100, 0.01), (1000, 0.01), (9973, 0.001), (500, 0.3)])
+    def test_tail_prefix_gives_the_full_sample_variance(self, n, p):
+        data = np.sort(np.random.default_rng(n).standard_normal(n))
+        weights = bootstrap_weights(n, quantile_rank(n, p))
+        full = bootstrap_variance(SortedSample(data), p)
+        assert tail_variance(data[: weights.hi], weights) == full
 
     def test_variance_estimate_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,23 @@ class TestEstimate:
         assert 0.0 < float(pairs["prior_weight"]) < 1.0
         assert float(pairs["posterior_variance"]) < 4.0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--variance-mode", "bootstrap"), ("--prior-mean", "0", "--prior-var", "1")],
+        ids=["bootstrap", "prior"],
+    )
+    def test_overflowing_variance_exit_one(self, capsys, tmp_path, flags):
+        # squared deviations of 2e200 overflow; the error is one line, no warnings
+        path = tmp_path / "huge.txt"
+        path.write_text("-1e200\n" + "1e200\n" * 99)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "estimate", str(path), "--p-value", "0.01", *flags)
+        assert code == 1
+        assert parse_kv(out)["rank"] == "1"
+        assert err.startswith("error: bootstrap variance is not finite")
+        assert err.count("\n") == 1
+
     def test_prior_flags_must_pair(self, capsys, hundred_file):
         code, _, err = run_cli(
             capsys, "estimate", str(hundred_file), "--p-value", "0.2", "--prior-mean", "0"
@@ -173,6 +192,14 @@ class TestSimulate:
         assert run_cli(capsys, *self.ARGS, "--workers", "1", "--out", str(a))[0] == 0
         assert run_cli(capsys, *self.ARGS, "--workers", "4", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_one(self, capsys, tmp_path, workers):
+        out_path = tmp_path / "w.csv"
+        code, _, err = run_cli(capsys, *self.ARGS, "--workers", workers, "--out", str(out_path))
+        assert code == 1
+        assert err == f"error: workers must be an integer >= 1, got {workers}\n"
+        assert not out_path.exists()
 
     def test_config_error_names_pair(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
+from tailquant.bootstrap import bootstrap_weights
 from tailquant.distributions import (
     LogExponential,
     NormalParams,
@@ -13,6 +14,7 @@ from tailquant.distributions import (
     rate_for_quantile,
 )
 from tailquant.errors import DomainError
+from tailquant.estimators import quantile_rank
 
 
 class TestRngStream:
@@ -158,6 +160,44 @@ class TestSampling:
     def test_rejects_bad_size(self):
         with pytest.raises(DomainError):
             LogExponential(1.0).sample(0, RngStream(1))
+
+
+def lowest_cases() -> list[tuple[int, int]]:
+    """(n, k) with k in {1, r, hi, n}, r = max(1, floor(n/100)) and hi its window top."""
+    cases = []
+    for n in (1, 2, 37, 1000, 100_000):
+        r = max(1, n // 100)
+        cases.extend((n, k) for k in sorted({1, r, bootstrap_weights(n, r).hi, n}))
+    return cases
+
+
+class TestLowest:
+    @pytest.mark.parametrize("n,k", lowest_cases())
+    def test_bit_identical_to_sorted_sample(self, n, k):
+        rates = (1e-8, 0.37, 1.0, 1e8)
+        for i in range(8 if n == 100_000 else 40):
+            model = LogExponential(rates[i % len(rates)])
+            stream = RngStream(2026, (n, k, i))
+            expected = np.sort(model.sample(n, stream).values)[:k]
+            assert model.lowest(n, k, stream).tobytes() == expected.tobytes()
+
+    def test_read_only(self):
+        values = LogExponential(1.0).lowest(50, 5, RngStream(3))
+        assert not values.flags.writeable
+
+    @pytest.mark.parametrize("n,k", [(10, 0), (10, 11), (10, -1), (10, 2.0), (0, 1)])
+    def test_rejects_k_outside_one_to_n(self, n, k):
+        with pytest.raises(DomainError):
+            LogExponential(1.0).lowest(n, k, RngStream(1))
+
+    def test_order_statistic_follows_beta_law(self):
+        # F(X_(r)) of n iid draws is Beta(r, n-r+1) distributed
+        n, p = 10_000, 0.01
+        r = quantile_rank(n, p)
+        model = LogExponential(1.0)
+        root = RngStream(20_261_018)
+        u = [model.cdf(float(model.lowest(n, r, root.child(i))[r - 1])) for i in range(2000)]
+        assert stats.kstest(u, stats.beta(r, n - r + 1).cdf).pvalue > 1e-3
 
 
 class TestAsymptoticVariance:

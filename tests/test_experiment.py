@@ -3,13 +3,17 @@ import math
 import pytest
 
 from tailquant.bayes import LikelihoodSpec, PriorBelief, VarianceSource, posterior
+from tailquant.bootstrap import bootstrap_variance
+from tailquant.distributions import NormalParams, asymptotic_variance, normal_draw, rate_for_quantile
 from tailquant.errors import ConfigError, DomainError, EmptyInput
-from tailquant.estimators import min_sample_size
+from tailquant.estimators import min_sample_size, sample_quantile, sort_ascending
 from tailquant.experiment import (
     ALL_METHODS,
     CSV_HEADER,
     ExperimentConfig,
     Method,
+    RmseRow,
+    RmseTable,
     parse_config,
     read_config,
     rmse,
@@ -25,6 +29,37 @@ FAST = dict(
     trials=4,
     seed=7,
 )
+
+
+def reference_experiment(config: ExperimentConfig) -> RmseTable:
+    """The full-sample trial loop: draw all n, sort, validate, then estimate."""
+    rows = []
+    for p, n, s2 in config.cells():
+        prior = PriorBelief(config.prior_mean, s2)
+        squared = {m: [] for m in config.methods}
+        for t in range(config.trials):
+            stream = trial_stream(config.seed, p, n, s2, t)
+            x_p = normal_draw(NormalParams(prior.mean, prior.variance), stream.child(0))
+            model = rate_for_quantile(x_p, p)
+            sorted_sample = sort_ascending(model.sample(n, stream.child(1)))
+            estimate = sample_quantile(sorted_sample, p)
+            for m in config.methods:
+                if m is Method.SAMPLE:
+                    value = estimate.value
+                elif m is Method.BAYES_KNOWN:
+                    sn2 = asymptotic_variance(p, n, model.pdf(x_p))
+                    value = posterior(prior, estimate, LikelihoodSpec(sn2, VarianceSource.KNOWN)).mean
+                else:
+                    sn2 = bootstrap_variance(sorted_sample, p).value
+                    value = posterior(
+                        prior, estimate, LikelihoodSpec(sn2, VarianceSource.BOOTSTRAPPED)
+                    ).mean
+                squared[m].append((value - x_p) ** 2)
+        rows.extend(
+            RmseRow(p, n, s2, m, rmse(squared[m]), config.trials, config.seed)
+            for m in config.methods
+        )
+    return RmseTable(tuple(rows))
 
 
 class TestRmse:
@@ -188,10 +223,38 @@ class TestRunExperiment:
         kept = [r for r in full.rows if r.n == 25]
         assert kept == list(smaller.rows)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ConfigError):
+            run_experiment(ExperimentConfig(**FAST), workers=workers)
+
     def test_different_seed_changes_results(self):
         a = run_experiment(ExperimentConfig(**FAST))
         b = run_experiment(ExperimentConfig(**{**FAST, "seed": 8}))
         assert any(x.rmse != y.rmse for x, y in zip(a.rows, b.rows))
+
+
+class TestTailOnlyDraws:
+    # run_experiment draws only the lowest order statistics; its CSV must be
+    # byte-identical to the full-sample loop's
+    @pytest.mark.parametrize(
+        "methods",
+        [ALL_METHODS, (Method.SAMPLE,), (Method.SAMPLE, Method.BAYES_KNOWN)],
+        ids=lambda ms: "+".join(m.value for m in ms),
+    )
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            dict(p_values=(0.01,), sample_sizes=(100, 1000, 100_000)),
+            dict(p_values=(0.3, 0.9), sample_sizes=(10, 37, 500)),
+        ],
+        ids=["tail", "central"],
+    )
+    def test_matches_full_sample_loop(self, grid, methods):
+        config = ExperimentConfig(
+            prior_variances=(1.0, 0.01), trials=3, seed=11, methods=methods, **grid
+        )
+        assert run_experiment(config).to_csv() == reference_experiment(config).to_csv()
 
 
 class TestCsv:
