@@ -5,27 +5,14 @@ quantifies the estimate's variance in closed form via an analytic bootstrap,
 and fuses the estimate with a normal prior belief through conjugate
 normal-normal updating.  A seeded Monte Carlo harness compares the sample
 and Bayesian estimators over a configurable grid and emits RMSE tables.
+
+Only the names the README documents are re-exported here; the rest stay
+importable from their submodules.
 """
 
-from .bayes import (
-    LikelihoodSpec,
-    MarginalMoments,
-    PosteriorBelief,
-    PriorBelief,
-    VarianceSource,
-    fuse,
-    marginal_moments,
-    posterior,
-)
-from .bootstrap import BootstrapWeights, VarianceEstimate, bootstrap_variance, bootstrap_weights
-from .distributions import (
-    LogExponential,
-    NormalParams,
-    RngStream,
-    asymptotic_variance,
-    normal_draw,
-    rate_for_quantile,
-)
+from .bayes import PosteriorBelief, PriorBelief, posterior
+from .bootstrap import BootstrapWeights, bootstrap_variance, bootstrap_weights
+from .distributions import LogExponential, RngStream, rate_for_quantile
 from .errors import (
     ConfigError,
     DomainError,
@@ -35,33 +22,9 @@ from .errors import (
     RankOutOfRange,
     TailquantError,
 )
-from .estimators import (
-    ProbabilityLevel,
-    QuantileEstimate,
-    Sample,
-    SortedSample,
-    min_sample_size,
-    order_statistic,
-    quantile_rank,
-    sample_quantile,
-    sort_ascending,
-)
-from .experiment import (
-    ALL_METHODS,
-    CSV_HEADER,
-    ExperimentConfig,
-    Method,
-    RmseRow,
-    RmseTable,
-    TrialResult,
-    parse_config,
-    read_config,
-    rmse,
-    run_experiment,
-    run_trial,
-)
+from .estimators import QuantileEstimate, Sample, SortedSample, sample_quantile, sort_ascending
+from .experiment import ExperimentConfig, Method, RmseTable, run_experiment
 from .special_functions import (
-    BetaParams,
     log_binomial,
     log_gamma,
     normal_quantile,
@@ -71,55 +34,33 @@ from .special_functions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_METHODS",
-    "BetaParams",
     "BootstrapWeights",
-    "CSV_HEADER",
     "ConfigError",
     "DomainError",
     "EmptyInput",
     "ExperimentConfig",
     "InsufficientSamples",
-    "LikelihoodSpec",
     "LogExponential",
-    "MarginalMoments",
     "Method",
     "NoConvergence",
-    "NormalParams",
     "PosteriorBelief",
     "PriorBelief",
-    "ProbabilityLevel",
     "QuantileEstimate",
     "RankOutOfRange",
-    "RmseRow",
     "RmseTable",
     "RngStream",
     "Sample",
     "SortedSample",
     "TailquantError",
-    "TrialResult",
-    "VarianceEstimate",
-    "VarianceSource",
-    "asymptotic_variance",
     "bootstrap_variance",
     "bootstrap_weights",
-    "fuse",
     "log_binomial",
     "log_gamma",
-    "marginal_moments",
-    "min_sample_size",
-    "normal_draw",
     "normal_quantile",
-    "order_statistic",
-    "parse_config",
     "posterior",
-    "quantile_rank",
     "rate_for_quantile",
-    "read_config",
     "regularized_incomplete_beta",
-    "rmse",
     "run_experiment",
-    "run_trial",
     "sample_quantile",
     "sort_ascending",
     "__version__",

@@ -43,7 +43,6 @@ from .special_functions import BetaParams, regularized_incomplete_beta
 
 __all__ = [
     "BootstrapWeights",
-    "VarianceEstimate",
     "bootstrap_weights",
     "bootstrap_variance",
     "tail_variance",
@@ -94,19 +93,6 @@ class BootstrapWeights:
         return w
 
 
-@dataclass(frozen=True)
-class VarianceEstimate:
-    """A non-negative variance estimate with its (n, r) provenance."""
-
-    value: float
-    n: int
-    r: int
-
-    def __post_init__(self):
-        if not self.value >= 0.0:
-            raise ValueError(f"variance estimate must be >= 0, got {self.value!r}")
-
-
 @functools.lru_cache(maxsize=16)
 def _window_weights(n: int, r: int) -> BootstrapWeights:
     params = BetaParams(float(r), float(n - r + 1))
@@ -138,9 +124,7 @@ def bootstrap_weights(n: int, r: int) -> BootstrapWeights:
     return _window_weights(n, r)
 
 
-def bootstrap_variance(
-    sorted_sample: SortedSample, p: float | ProbabilityLevel
-) -> VarianceEstimate:
+def bootstrap_variance(sorted_sample: SortedSample, p: float | ProbabilityLevel) -> float:
     """Analytic bootstrap variance of the sample p-quantile, r = floor(n*p).
 
     Raises InsufficientSamples when r would be zero; see `tail_variance`.
@@ -149,14 +133,14 @@ def bootstrap_variance(
     return tail_variance(sorted_sample.values, bootstrap_weights(n, quantile_rank(n, p)))
 
 
-def tail_variance(tail: np.ndarray, weights: BootstrapWeights) -> VarianceEstimate:
+def tail_variance(tail: np.ndarray, weights: BootstrapWeights) -> float:
     """Weighted second moment about x_(r) of the sorted observations, window only.
 
     ``tail`` is trusted, not re-validated: an ascending array holding at
     least x_(1..hi) of the n observations the weights were built for.  Cells
     whose weight is 0 contribute exactly 0, even where their squared
     deviation overflows.  Raises DomainError when the weighted moment itself
-    is not finite.
+    is not finite; otherwise the result is >= 0.
     """
     window = weights.window
     with np.errstate(over="ignore", invalid="ignore"):
@@ -167,4 +151,4 @@ def tail_variance(tail: np.ndarray, weights: BootstrapWeights) -> VarianceEstima
             f"bootstrap variance is not finite ({value!r}): "
             "squared deviations from the sample quantile overflow"
         )
-    return VarianceEstimate(value=max(value, 0.0), n=weights.n, r=weights.r)
+    return max(value, 0.0)

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 
-from .bayes import LikelihoodSpec, PriorBelief, VarianceSource, posterior
+from .bayes import PriorBelief, posterior
 from .bootstrap import bootstrap_variance, bootstrap_weights
 from .errors import DomainError, InsufficientSamples, TailquantError
 from .estimators import ProbabilityLevel, Sample, quantile_rank, sample_quantile, sort_ascending
-from .experiment import ExperimentConfig, Method, read_config, run_experiment
+from .experiment import ExperimentConfig, Method, _fmt, read_config, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -25,15 +26,17 @@ EXIT_INSUFFICIENT = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -123 and -1.5 for negative numbers, so a value
+        # such as -1e3, -inf or the list -1e-3,0.01 would be read as an option
+        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+
     # argparse exits with status 2 on usage errors by default; the stable
     # contract here reserves 2 for insufficient data.
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _read_observations(path: str) -> list[float]:
@@ -58,25 +61,25 @@ def _cmd_estimate(args) -> int:
     level = ProbabilityLevel(args.p_value)
     sorted_sample = sort_ascending(Sample(_read_observations(args.data)))
     estimate = sample_quantile(sorted_sample, level)
-
-    print(f"n={estimate.n}")
-    print(f"p={_fmt(level.p)}")
-    print(f"rank={estimate.rank}")
-    print(f"quantile={_fmt(estimate.value)}")
-
+    # every line is computed before any is printed, so a failure prints none
+    lines = [
+        f"n={estimate.n}",
+        f"p={_fmt(level.p)}",
+        f"rank={estimate.rank}",
+        f"quantile={_fmt(estimate.value)}",
+    ]
     want_variance = args.variance_mode == "bootstrap"
-    need_variance = want_variance or args.prior_mean is not None
-    if need_variance:
+    if want_variance or args.prior_mean is not None:
         variance = bootstrap_variance(sorted_sample, level)
         if want_variance:
-            print(f"bootstrap_variance={_fmt(variance.value)}")
+            lines.append(f"bootstrap_variance={_fmt(variance)}")
     if args.prior_mean is not None:
         prior = PriorBelief(args.prior_mean, args.prior_var)
-        likelihood = LikelihoodSpec(variance.value, VarianceSource.BOOTSTRAPPED)
-        belief = posterior(prior, estimate, likelihood)
-        print(f"posterior_mean={_fmt(belief.mean)}")
-        print(f"posterior_variance={_fmt(belief.variance)}")
-        print(f"prior_weight={_fmt(belief.prior_weight)}")
+        belief = posterior(prior, estimate.value, variance)
+        lines.append(f"posterior_mean={_fmt(belief.mean)}")
+        lines.append(f"posterior_variance={_fmt(belief.variance)}")
+        lines.append(f"prior_weight={_fmt(belief.prior_weight)}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bayes import PriorBelief
 from .errors import DomainError
 from .estimators import ProbabilityLevel, Sample, _as_level
 from .special_functions import normal_quantile
@@ -37,7 +38,6 @@ from .special_functions import normal_quantile
 __all__ = [
     "RngStream",
     "LogExponential",
-    "NormalParams",
     "rate_for_quantile",
     "asymptotic_variance",
     "normal_draw",
@@ -166,10 +166,20 @@ def rate_for_quantile(x_p: float, p: float | ProbabilityLevel) -> LogExponential
     """The log-exponential model whose p-quantile is exactly x_p.
 
     Solving 1 - exp(-rate * e^{x_p}) = p gives rate = -log(1-p) * e^{-x_p}.
+    Raises DomainError when that rate overflows or underflows to 0 (|x_p| >~ 700).
     """
     level = _as_level(p)
     x_p = _finite(x_p)
-    return LogExponential(rate=-math.log1p(-level.p) * math.exp(-x_p))
+    try:
+        rate = -math.log1p(-level.p) * math.exp(-x_p)
+    except OverflowError:
+        rate = math.inf
+    if not 0.0 < rate < math.inf:
+        raise DomainError(
+            f"no log-exponential model has x_p = {x_p!r} as its p = {level.p!r} "
+            f"quantile: the rate {'overflows' if rate else 'underflows to 0'}"
+        )
+    return LogExponential(rate=rate)
 
 
 def asymptotic_variance(
@@ -177,8 +187,7 @@ def asymptotic_variance(
 ) -> float:
     """Large-n variance p(1-p) / (n * f(x_p)^2) of the sample p-quantile."""
     level = _as_level(p)
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
+    _check_size(n)
     if not (math.isfinite(density_at_quantile) and density_at_quantile > 0.0):
         raise DomainError(
             f"density at the quantile must be finite and > 0, got {density_at_quantile!r}"
@@ -186,25 +195,7 @@ def asymptotic_variance(
     return level.p * (1.0 - level.p) / (n * density_at_quantile * density_at_quantile)
 
 
-@dataclass(frozen=True)
-class NormalParams:
-    """Mean and variance of a normal distribution."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not (isinstance(self.mean, (int, float)) and math.isfinite(self.mean)):
-            raise DomainError(f"mean must be finite, got {self.mean!r}")
-        if not (
-            isinstance(self.variance, (int, float))
-            and math.isfinite(self.variance)
-            and self.variance > 0.0
-        ):
-            raise DomainError(f"variance must be finite and > 0, got {self.variance!r}")
-
-
-def normal_draw(params: NormalParams, rng: RngStream) -> float:
+def normal_draw(prior: PriorBelief, rng: RngStream) -> float:
     """One N(mean, variance) draw by inverse CDF on a single open uniform."""
     u = float(_unit(_lattice(rng.generator())))
-    return params.mean + math.sqrt(params.variance) * normal_quantile(u)
+    return prior.mean + math.sqrt(prior.variance) * normal_quantile(u)

@@ -79,7 +79,7 @@ class SortedSample:
 
     def __post_init__(self):
         arr = _as_array(self.values)
-        if arr.size > 1 and np.any(np.diff(arr) < 0.0):
+        if np.any(arr[1:] < arr[:-1]):
             raise DomainError("values are not in ascending order; use sort_ascending")
         object.__setattr__(self, "values", arr)
 
@@ -121,6 +121,8 @@ def order_statistic(sorted_sample: SortedSample, rank: int) -> float:
 
 def quantile_rank(n: int, p: float | ProbabilityLevel) -> int:
     """One-based rank floor(n*p) of the sample quantile; raises when it is zero."""
+    if n < 1:
+        raise DomainError(f"sample size must be >= 1, got {n!r}")
     level = _as_level(p)
     r = math.floor(n * level.p)
     if r < 1:

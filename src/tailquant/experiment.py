@@ -30,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bayes import LikelihoodSpec, PriorBelief, VarianceSource, posterior
+from .bayes import PriorBelief, posterior
 from .bootstrap import bootstrap_weights, tail_variance
-from .distributions import NormalParams, RngStream, asymptotic_variance, normal_draw, rate_for_quantile
+from .distributions import RngStream, asymptotic_variance, normal_draw, rate_for_quantile
 from .errors import ConfigError, DomainError, EmptyInput
 from .estimators import ProbabilityLevel, _as_level, min_sample_size, quantile_rank
 
@@ -233,9 +233,7 @@ def run_trial(
     level = _as_level(p)
     r = quantile_rank(n, level)
     weights = bootstrap_weights(n, r) if Method.BAYES_BOOTSTRAP in methods else None
-    x_p = normal_draw(
-        NormalParams(prior.mean, prior.variance), rng.child(_DRAW_QUANTILE)
-    )
+    x_p = normal_draw(prior, rng.child(_DRAW_QUANTILE))
     model = rate_for_quantile(x_p, level)
     k = r if weights is None else weights.hi
     tail = model.lowest(n, k, rng.child(_DRAW_SAMPLE))
@@ -247,14 +245,10 @@ def run_trial(
             estimates[method] = estimate
         elif method is Method.BAYES_KNOWN:
             sn2 = asymptotic_variance(level, n, model.pdf(x_p))
-            belief = posterior(prior, estimate, LikelihoodSpec(sn2, VarianceSource.KNOWN))
-            estimates[method] = belief.mean
+            estimates[method] = posterior(prior, estimate, sn2).mean
         elif method is Method.BAYES_BOOTSTRAP:
-            s2 = tail_variance(tail, weights).value
-            belief = posterior(
-                prior, estimate, LikelihoodSpec(s2, VarianceSource.BOOTSTRAPPED)
-            )
-            estimates[method] = belief.mean
+            sn2 = tail_variance(tail, weights)
+            estimates[method] = posterior(prior, estimate, sn2).mean
         else:
             raise ConfigError(f"unknown method {method!r}")
     squared = {m: (v - x_p) ** 2 for m, v in estimates.items()}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from tailquant.bayes import LikelihoodSpec, PriorBelief, VarianceSource, posterior
+from tailquant.bayes import PriorBelief, posterior
 from tailquant.bootstrap import bootstrap_variance, bootstrap_weights
 from tailquant.cli import main
 from tailquant.distributions import RngStream, asymptotic_variance, rate_for_quantile
@@ -52,7 +52,7 @@ def test_criterion_01_posterior_algebra():
         xhat = float(rng.uniform(-50.0, 50.0))
         s2 = float(10.0 ** rng.uniform(-6.0, 6.0))
         sn2 = float(10.0 ** rng.uniform(-6.0, 6.0))
-        belief = posterior(PriorBelief(mu, s2), xhat, LikelihoodSpec(sn2, VarianceSource.KNOWN))
+        belief = posterior(PriorBelief(mu, s2), xhat, sn2)
         assert belief.variance < min(s2, sn2)
         target = 1.0 / s2 + 1.0 / sn2
         worst_precision = max(worst_precision, abs(1.0 / belief.variance - target) / target)
@@ -135,7 +135,7 @@ def test_criterion_05_bootstrap_error_shrinks_with_n():
         errors = np.empty(replicates)
         for t in range(replicates):
             ordered = sort_ascending(model.sample(n, root.child(n, t)))
-            errors[t] = abs(bootstrap_variance(ordered, p).value - target) / target
+            errors[t] = abs(bootstrap_variance(ordered, p) - target) / target
         medians.append(float(np.median(errors)))
     decreasing = medians[0] > medians[1] > medians[2]
     _report(

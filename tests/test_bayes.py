@@ -5,31 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailquant.bayes import (
-    LikelihoodSpec,
-    PosteriorBelief,
-    PriorBelief,
-    VarianceSource,
-    fuse,
-    marginal_moments,
-    posterior,
-)
+from tailquant.bayes import PosteriorBelief, PriorBelief, posterior
 from tailquant.bootstrap import bootstrap_variance
 from tailquant.errors import DomainError
-from tailquant.estimators import (
-    ProbabilityLevel,
-    QuantileEstimate,
-    SortedSample,
-    min_sample_size,
-    sample_quantile,
-)
+from tailquant.estimators import SortedSample, min_sample_size, sample_quantile
 
 means = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 variances = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
-
-
-def known(sn2: float) -> LikelihoodSpec:
-    return LikelihoodSpec(sn2, VarianceSource.KNOWN)
 
 
 class TestValidation:
@@ -40,12 +22,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("var", [-0.5, -1e-300, math.inf, math.nan])
     def test_likelihood_rejects_bad_variance(self, var):
-        with pytest.raises(DomainError):
-            LikelihoodSpec(var, VarianceSource.BOOTSTRAPPED)
+        with pytest.raises(DomainError, match="sample variance must be finite and >= 0"):
+            posterior(PriorBelief(0.0, 1.0), 1.0, var)
 
     def test_likelihood_accepts_zero_variance(self):
         # the bootstrap variance of a sample whose weighted values are all tied
-        assert LikelihoodSpec(0.0, VarianceSource.BOOTSTRAPPED).sample_variance == 0.0
+        assert posterior(PriorBelief(0.0, 1.0), 1.0, 0.0).prior_weight == 0.0
 
     def test_prior_rejects_non_finite_mean(self):
         with pytest.raises(DomainError):
@@ -53,7 +35,7 @@ class TestValidation:
 
     def test_posterior_rejects_non_finite_estimate(self):
         with pytest.raises(DomainError):
-            posterior(PriorBelief(0.0, 1.0), math.nan, known(1.0))
+            posterior(PriorBelief(0.0, 1.0), math.nan, 1.0)
 
     def test_posterior_belief_weight_range(self):
         with pytest.raises(DomainError):
@@ -64,67 +46,42 @@ class TestValidation:
     def test_extreme_variance_ratio_saturates_weight(self):
         # sigma^2 below sample variance by more than 1/eps: the weight rounds
         # to exactly 1.0 and the posterior collapses onto the prior
-        belief = posterior(PriorBelief(0.0, 1e-20), 5.0, known(1.0))
+        belief = posterior(PriorBelief(0.0, 1e-20), 5.0, 1.0)
         assert belief.prior_weight == 1.0
         assert abs(belief.mean) < 1e-6
 
 
-class TestMarginalMoments:
-    def test_unit_example(self):
-        assert marginal_moments(PriorBelief(0.0, 1.0), known(1.0)) == (0.0, 2.0, 1.0)
-
-    def test_small_variance_example(self):
-        mean, variance, covariance = marginal_moments(PriorBelief(5.0, 0.01), known(0.04))
-        assert mean == 5.0
-        assert variance == pytest.approx(0.05, rel=1e-15)
-        assert covariance == 0.01
-
-    @given(mu=means, s2=variances, sn2=variances)
-    @settings(max_examples=100)
-    def test_covariance_always_equals_prior_variance(self, mu, s2, sn2):
-        moments = marginal_moments(PriorBelief(mu, s2), known(sn2))
-        assert moments.covariance == s2
-        assert moments.mean == mu
-        assert moments.variance == s2 + sn2
-
-
 class TestPosterior:
     def test_equal_variances_midpoint(self):
-        belief = posterior(PriorBelief(0.0, 1.0), 2.0, known(1.0))
+        belief = posterior(PriorBelief(0.0, 1.0), 2.0, 1.0)
         assert belief.mean == pytest.approx(1.0, abs=1e-15)
         assert belief.variance == pytest.approx(0.5, abs=1e-15)
         assert belief.prior_weight == pytest.approx(0.5, abs=1e-15)
 
     def test_noisy_data_falls_back_to_prior(self):
-        belief = posterior(PriorBelief(0.0, 1.0), 2.0, known(1e12))
+        belief = posterior(PriorBelief(0.0, 1.0), 2.0, 1e12)
         assert abs(belief.mean - 0.0) < 1e-6
 
     def test_precise_data_overrides_prior(self):
-        belief = posterior(PriorBelief(0.0, 1.0), 2.0, known(1e-12))
+        belief = posterior(PriorBelief(0.0, 1.0), 2.0, 1e-12)
         assert abs(belief.mean - 2.0) < 1e-6
 
     def test_hand_computed_example(self):
-        belief = posterior(PriorBelief(0.0, 0.01), 1.0, known(0.04))
+        belief = posterior(PriorBelief(0.0, 0.01), 1.0, 0.04)
         assert belief.mean == pytest.approx(0.2, rel=1e-12)
         assert belief.variance == pytest.approx(0.008, rel=1e-12)
         assert belief.prior_weight == pytest.approx(0.8, rel=1e-12)
 
-    def test_accepts_quantile_estimate(self):
-        estimate = QuantileEstimate(value=2.0, rank=1, p=ProbabilityLevel(0.1), n=10)
-        via_estimate = posterior(PriorBelief(0.0, 1.0), estimate, known(1.0))
-        via_float = posterior(PriorBelief(0.0, 1.0), 2.0, known(1.0))
-        assert via_estimate == via_float
-
     @given(mu=means, s2=variances, xhat=means, sn2=variances)
     @settings(max_examples=200)
     def test_variance_dominates(self, mu, s2, xhat, sn2):
-        belief = posterior(PriorBelief(mu, s2), xhat, known(sn2))
+        belief = posterior(PriorBelief(mu, s2), xhat, sn2)
         assert belief.variance < min(s2, sn2)
 
     @given(mu=means, s2=variances, xhat=means, sn2=variances)
     @settings(max_examples=200)
     def test_precision_additivity(self, mu, s2, xhat, sn2):
-        belief = posterior(PriorBelief(mu, s2), xhat, known(sn2))
+        belief = posterior(PriorBelief(mu, s2), xhat, sn2)
         lhs = 1.0 / belief.variance
         rhs = 1.0 / s2 + 1.0 / sn2
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -132,7 +89,7 @@ class TestPosterior:
     @given(mu=means, s2=variances, xhat=means, sn2=variances)
     @settings(max_examples=200)
     def test_mean_is_convex_combination(self, mu, s2, xhat, sn2):
-        belief = posterior(PriorBelief(mu, s2), xhat, known(sn2))
+        belief = posterior(PriorBelief(mu, s2), xhat, sn2)
         assert 0.0 < belief.prior_weight < 1.0
         lo, hi = min(mu, xhat), max(mu, xhat)
         slack = 1e-12 * (abs(lo) + abs(hi) + 1.0)
@@ -144,19 +101,19 @@ class TestPosterior:
     @given(mu=means, s2=variances, xhat=means, sn2=variances)
     @settings(max_examples=100)
     def test_symmetry_of_roles(self, mu, s2, xhat, sn2):
-        one = posterior(PriorBelief(mu, s2), xhat, known(sn2))
-        other = posterior(PriorBelief(xhat, sn2), mu, known(s2))
+        one = posterior(PriorBelief(mu, s2), xhat, sn2)
+        other = posterior(PriorBelief(xhat, sn2), mu, s2)
         assert one.mean == pytest.approx(other.mean, rel=1e-12, abs=1e-12)
         assert one.variance == pytest.approx(other.variance, rel=1e-12)
 
     def test_zero_sample_variance_is_the_precise_limit(self):
-        belief = posterior(PriorBelief(-1.0, 0.5), 3.0, known(0.0))
+        belief = posterior(PriorBelief(-1.0, 0.5), 3.0, 0.0)
         assert belief.mean == 3.0
         assert belief.variance == 0.0
         assert belief.prior_weight == 0.0
 
     def test_huge_variances_do_not_overflow(self):
-        belief = posterior(PriorBelief(0.0, 1e300), 2.0, known(1e300))
+        belief = posterior(PriorBelief(0.0, 1e300), 2.0, 1e300)
         assert belief.variance == pytest.approx(5e299, rel=1e-15)
         assert belief.prior_weight == 0.5
 
@@ -164,24 +121,10 @@ class TestPosterior:
         prior = PriorBelief(0.0, 1.0)
         xhat = 3.0
         distances = [
-            abs(posterior(prior, xhat, known(sn2)).mean - prior.mean)
+            abs(posterior(prior, xhat, sn2).mean - prior.mean)
             for sn2 in (0.01, 0.1, 1.0, 10.0, 100.0)
         ]
         assert all(b < a for a, b in zip(distances, distances[1:]))
-
-
-class TestFuse:
-    def test_with_estimate_matches_posterior(self):
-        prior = PriorBelief(1.0, 0.5)
-        assert fuse(prior, 2.0, known(0.25)) == posterior(prior, 2.0, known(0.25))
-
-    def test_without_estimate_returns_prior_flagged(self):
-        prior = PriorBelief(1.5, 0.75)
-        belief = fuse(prior)
-        assert belief.prior_only
-        assert belief.mean == prior.mean
-        assert belief.variance == prior.variance
-        assert belief.prior_weight == 1.0
 
 
 # Discrete samples: a few distinct values, each repeated, so that every
@@ -204,10 +147,8 @@ class TestTiedData:
             return
         ordered = SortedSample(values)
         estimate = sample_quantile(ordered, p)
-        sn2 = bootstrap_variance(ordered, p).value
-        belief = posterior(
-            PriorBelief(mu, s2), estimate, LikelihoodSpec(sn2, VarianceSource.BOOTSTRAPPED)
-        )
+        sn2 = bootstrap_variance(ordered, p)
+        belief = posterior(PriorBelief(mu, s2), estimate.value, sn2)
         assert sn2 >= 0.0
         assert 0.0 <= belief.prior_weight <= 1.0
         assert 0.0 <= belief.variance <= s2

@@ -10,7 +10,6 @@ from scipy.special import betainc, betaincc
 import tailquant.special_functions as sf
 from tailquant.bootstrap import (
     _MASS_FLOOR,
-    VarianceEstimate,
     _window_weights,
     bootstrap_variance,
     bootstrap_weights,
@@ -114,7 +113,7 @@ class TestWeightWindow:
         data = np.sort(np.random.default_rng(n).standard_normal(n))
         r = quantile_rank(n, p)
         expected = float(np.dot((data - data[r - 1]) ** 2, dense_weights(n, r)))
-        value = bootstrap_variance(SortedSample(data), p).value
+        value = bootstrap_variance(SortedSample(data), p)
         assert value == pytest.approx(expected, rel=1e-13)
 
     def test_window_is_narrow(self):
@@ -145,12 +144,11 @@ class TestWeightWindow:
 class TestBootstrapVariance:
     def test_two_point_example(self):
         estimate = bootstrap_variance(SortedSample([0.0, 1.0]), 0.5)
-        assert estimate.r == 1
-        assert estimate.value == pytest.approx(0.25, abs=1e-12)
+        assert estimate == pytest.approx(0.25, abs=1e-12)
 
     def test_constant_sample_is_zero(self):
         estimate = bootstrap_variance(SortedSample([3.0] * 25), 0.2)
-        assert estimate.value == 0.0
+        assert estimate == 0.0
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
@@ -160,7 +158,7 @@ class TestBootstrapVariance:
         rng = np.random.default_rng(11)
         for _ in range(25):
             data = np.sort(rng.normal(size=rng.integers(5, 200)))
-            value = bootstrap_variance(SortedSample(data), 0.3).value
+            value = bootstrap_variance(SortedSample(data), 0.3)
             assert value >= 0.0
 
     def test_matches_direct_weighted_moment(self):
@@ -169,7 +167,7 @@ class TestBootstrapVariance:
         estimate = bootstrap_variance(SortedSample(data), 0.25)
         w = quadrature_weights(40, 10)
         expected = float(np.dot((data - data[9]) ** 2, w))
-        assert estimate.value == pytest.approx(expected, rel=1e-9)
+        assert estimate == pytest.approx(expected, rel=1e-9)
 
     def test_median_tracks_asymptotic_variance(self):
         # statistical check against the true-density variance at p=0.1, n=1e4
@@ -180,7 +178,7 @@ class TestBootstrapVariance:
         values = []
         for trial in range(60):
             sample = model.sample(n, RngStream(2024, (trial,)))
-            values.append(bootstrap_variance(sort_ascending(sample), p).value)
+            values.append(bootstrap_variance(sort_ascending(sample), p))
         med = float(np.median(values))
         assert abs(med - target) / target < 0.25
 
@@ -195,9 +193,9 @@ class TestBootstrapVariance:
         moderate = np.concatenate([low, np.full(n - 57, 1e3)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = bootstrap_variance(SortedSample(huge), p).value
+            value = bootstrap_variance(SortedSample(huge), p)
         assert math.isfinite(value)
-        assert value == bootstrap_variance(SortedSample(moderate), p).value
+        assert value == bootstrap_variance(SortedSample(moderate), p)
 
     def test_overflow_in_weighted_cells_raises(self):
         data = SortedSample([-1e200] + [1e200] * 99)
@@ -212,7 +210,3 @@ class TestBootstrapVariance:
         weights = bootstrap_weights(n, quantile_rank(n, p))
         full = bootstrap_variance(SortedSample(data), p)
         assert tail_variance(data[: weights.hi], weights) == full
-
-    def test_variance_estimate_rejects_negative(self):
-        with pytest.raises(ValueError):
-            VarianceEstimate(value=-1e-9, n=10, r=2)

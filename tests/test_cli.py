@@ -121,10 +121,38 @@ class TestEstimate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "estimate", str(path), "--p-value", "0.01", *flags)
-        assert code == 1
-        assert parse_kv(out)["rank"] == "1"
+        assert (code, out) == (1, "")
         assert err.startswith("error: bootstrap variance is not finite")
         assert err.count("\n") == 1
+
+    def test_failure_prints_nothing_to_stdout(self, capsys, tmp_path):
+        # x_(2) - x_(1) overflows in a naive order check, and the bootstrap
+        # variance overflows after the quantile is known: one stderr line only
+        path = tmp_path / "limits.txt"
+        path.write_text("-1.7e308\n1.7e308\n1.7e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "estimate", str(path), "--p-value", "0.5",
+                "--prior-mean", "0", "--prior-var", "1",
+            )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["-1e3", "-1.5E-7", "-inf"])
+    def test_negative_exponent_prior_mean(self, capsys, hundred_file, value):
+        code, out, err = run_cli(
+            capsys, "estimate", str(hundred_file), "--p-value", "0.2",
+            "--prior-mean", value, "--prior-var", "4",
+        )
+        if value == "-inf":
+            assert (code, out, err) == (1, "", "error: prior mean must be finite, got -inf\n")
+        else:
+            assert (code, err) == (0, "")
+            pairs = {k: float(v) for k, v in parse_kv(out).items()}
+            w, quantile = pairs["prior_weight"], pairs["quantile"]
+            prior_mean = (pairs["posterior_mean"] - (1.0 - w) * quantile) / w
+            assert prior_mean == pytest.approx(float(value), rel=1e-9, abs=1e-9)
 
     def test_prior_flags_must_pair(self, capsys, hundred_file):
         code, _, err = run_cli(
@@ -158,6 +186,12 @@ class TestWeights:
         lines = out.strip().splitlines()
         assert len(lines) == 251
         assert abs(float(lines[-1].partition("=")[2]) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_non_positive_n_exit_one(self, capsys, n):
+        code, out, err = run_cli(capsys, "weights", "--n", n, "--p-value", "0.5")
+        assert (code, out) == (1, "")
+        assert err == f"error: sample size must be >= 1, got {n}\n"
 
     def test_insufficient_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "weights", "--n", "5", "--p-value", "0.01")
@@ -199,6 +233,40 @@ class TestSimulate:
         code, _, err = run_cli(capsys, *self.ARGS, "--workers", workers, "--out", str(out_path))
         assert code == 1
         assert err == f"error: workers must be an integer >= 1, got {workers}\n"
+        assert not out_path.exists()
+
+    def test_negative_exponent_prior_mean(self, capsys, tmp_path):
+        out_path = tmp_path / "neg.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--p", "0.1", "--n", "100", "--sigma2", "1",
+            "--prior-mean", "-1e1", "--trials", "2", "--out", str(out_path),
+        )
+        assert (code, err) == (0, "")
+        assert out_path.exists()
+
+    @pytest.mark.parametrize("p", ["-1e-3", "-1e-3,0.01"])
+    def test_negative_exponent_p_is_a_config_error(self, capsys, tmp_path, p):
+        code, _, err = run_cli(
+            capsys, "simulate", "--p", p, "--n", "100", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert err == "error: p_values must lie strictly in (0, 1), got -0.001\n"
+
+    @pytest.mark.parametrize(
+        "flags,fault",
+        [(("--prior-mean", "-1e3"), "overflows"), (("--sigma2", "1e6"), "underflows to 0")],
+        ids=["prior-mean", "sigma2"],
+    )
+    def test_unrepresentable_model_exit_one(self, capsys, tmp_path, flags, fault):
+        # a true quantile near -1000 or +1000 has no finite positive rate
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--p", "0.1", "--n", "100", *flags,
+            "--trials", "5", "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: no log-exponential model has x_p = ")
+        assert err.endswith(f"the rate {fault}\n") and err.count("\n") == 1
         assert not out_path.exists()
 
     def test_config_error_names_pair(self, capsys, tmp_path):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from tailquant.bayes import PriorBelief
 from tailquant.bootstrap import bootstrap_weights
 from tailquant.distributions import (
     LogExponential,
-    NormalParams,
     RngStream,
     asymptotic_variance,
     normal_draw,
@@ -57,6 +57,17 @@ class TestRateForQuantile:
     def test_rejects_bad_level(self):
         with pytest.raises(DomainError):
             rate_for_quantile(0.0, 1.0)
+
+    @pytest.mark.parametrize("x_p,fault", [(-1000.0, "overflows"), (1000.0, "underflows to 0")])
+    def test_rejects_rate_out_of_range(self, x_p, fault):
+        # e^{-x_p} is 1e434 or 1e-435: no positive finite double is the rate
+        with pytest.raises(DomainError, match=rf"x_p = {x_p!r} .* p = 0\.01 .*{fault}"):
+            rate_for_quantile(x_p, 0.01)
+
+    def test_extreme_representable_rate_is_kept(self):
+        # the product is subnormal but positive, so the model exists
+        model = rate_for_quantile(700.0, 1e-10)
+        assert 0.0 < model.rate < 1e-300
 
 
 class TestLogExponential:
@@ -226,24 +237,24 @@ class TestAsymptoticVariance:
 
 class TestNormalDraw:
     def test_deterministic(self):
-        params = NormalParams(2.0, 9.0)
-        assert normal_draw(params, RngStream(4, (2,))) == normal_draw(params, RngStream(4, (2,)))
+        prior = PriorBelief(2.0, 9.0)
+        assert normal_draw(prior, RngStream(4, (2,))) == normal_draw(prior, RngStream(4, (2,)))
 
     def test_degenerate_variance_collapses_to_mean(self):
-        params = NormalParams(5.0, 1e-20)
+        prior = PriorBelief(5.0, 1e-20)
         for i in range(50):
-            assert abs(normal_draw(params, RngStream(9, (i,))) - 5.0) < 1e-9
+            assert abs(normal_draw(prior, RngStream(9, (i,))) - 5.0) < 1e-9
 
     def test_clt_mean(self):
-        params = NormalParams(3.0, 4.0)
+        prior = PriorBelief(3.0, 4.0)
         root = RngStream(77)
         n = 20_000
-        total = sum(normal_draw(params, root.child(i)) for i in range(n))
-        bound = 4.0 * math.sqrt(params.variance / n)
-        assert abs(total / n - params.mean) < bound
+        total = sum(normal_draw(prior, root.child(i)) for i in range(n))
+        bound = 4.0 * math.sqrt(prior.variance / n)
+        assert abs(total / n - prior.mean) < bound
 
     def test_rejects_bad_params(self):
         with pytest.raises(DomainError):
-            NormalParams(0.0, 0.0)
+            PriorBelief(0.0, 0.0)
         with pytest.raises(DomainError):
-            NormalParams(math.nan, 1.0)
+            PriorBelief(math.nan, 1.0)

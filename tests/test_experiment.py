@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from tailquant.bayes import LikelihoodSpec, PriorBelief, VarianceSource, posterior
+from tailquant.bayes import PriorBelief, posterior
 from tailquant.bootstrap import bootstrap_variance
-from tailquant.distributions import NormalParams, asymptotic_variance, normal_draw, rate_for_quantile
+from tailquant.distributions import asymptotic_variance, normal_draw, rate_for_quantile
 from tailquant.errors import ConfigError, DomainError, EmptyInput
 from tailquant.estimators import min_sample_size, sample_quantile, sort_ascending
 from tailquant.experiment import (
@@ -39,7 +39,7 @@ def reference_experiment(config: ExperimentConfig) -> RmseTable:
         squared = {m: [] for m in config.methods}
         for t in range(config.trials):
             stream = trial_stream(config.seed, p, n, s2, t)
-            x_p = normal_draw(NormalParams(prior.mean, prior.variance), stream.child(0))
+            x_p = normal_draw(prior, stream.child(0))
             model = rate_for_quantile(x_p, p)
             sorted_sample = sort_ascending(model.sample(n, stream.child(1)))
             estimate = sample_quantile(sorted_sample, p)
@@ -48,12 +48,10 @@ def reference_experiment(config: ExperimentConfig) -> RmseTable:
                     value = estimate.value
                 elif m is Method.BAYES_KNOWN:
                     sn2 = asymptotic_variance(p, n, model.pdf(x_p))
-                    value = posterior(prior, estimate, LikelihoodSpec(sn2, VarianceSource.KNOWN)).mean
+                    value = posterior(prior, estimate.value, sn2).mean
                 else:
-                    sn2 = bootstrap_variance(sorted_sample, p).value
-                    value = posterior(
-                        prior, estimate, LikelihoodSpec(sn2, VarianceSource.BOOTSTRAPPED)
-                    ).mean
+                    sn2 = bootstrap_variance(sorted_sample, p)
+                    value = posterior(prior, estimate.value, sn2).mean
                 squared[m].append((value - x_p) ** 2)
         rows.extend(
             RmseRow(p, n, s2, m, rmse(squared[m]), config.trials, config.seed)
@@ -160,9 +158,7 @@ class TestRunTrial:
     def test_huge_noise_variance_recovers_prior_mean(self):
         prior = PriorBelief(0.0, 1.0)
         result = run_trial(0.1, 50, prior, (Method.SAMPLE,), trial_stream(17, 0.1, 50, 1.0, 0))
-        belief = posterior(
-            prior, result.estimates[Method.SAMPLE], LikelihoodSpec(1e12, VarianceSource.KNOWN)
-        )
+        belief = posterior(prior, result.estimates[Method.SAMPLE], 1e12)
         assert abs(belief.mean - prior.mean) <= 1e-12 * max(1.0, abs(result.estimates[Method.SAMPLE]))
 
     def test_degenerate_prior_oracle(self):
