@@ -21,19 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, real
 
 __all__ = ["PriorBelief", "PosteriorBelief", "posterior"]
 
 
-def _check_variance(name: str, value: float, *, allow_zero: bool = False) -> None:
-    if not (
-        isinstance(value, (int, float))
-        and math.isfinite(value)
-        and (value > 0.0 or (allow_zero and value == 0.0))
-    ):
+def _check_variance(name: str, value: float, *, allow_zero: bool = False) -> float:
+    variance = real(value)
+    if not (math.isfinite(variance) and (variance > 0.0 or (allow_zero and variance == 0.0))):
         bound = ">= 0" if allow_zero else "> 0"
         raise DomainError(f"{name} must be finite and {bound}, got {value!r}")
+    return variance
 
 
 @dataclass(frozen=True)
@@ -44,9 +42,11 @@ class PriorBelief:
     variance: float
 
     def __post_init__(self):
-        if not (isinstance(self.mean, (int, float)) and math.isfinite(self.mean)):
+        mean = real(self.mean)
+        if not math.isfinite(mean):
             raise DomainError(f"prior mean must be finite, got {self.mean!r}")
-        _check_variance("prior variance", self.variance)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "variance", _check_variance("prior variance", self.variance))
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def posterior(prior: PriorBelief, xhat: float, sample_variance: float) -> Poster
     xhat = float(xhat)
     if not math.isfinite(xhat):
         raise DomainError(f"sample quantile must be finite, got {xhat!r}")
-    _check_variance("sample variance", sample_variance, allow_zero=True)
+    sample_variance = _check_variance("sample variance", sample_variance, allow_zero=True)
     s2 = prior.variance
     w = sample_variance / (s2 + sample_variance)
     return PosteriorBelief(

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RankOutOfRange
-from .estimators import ProbabilityLevel, SortedSample, quantile_rank
-from .special_functions import BetaParams, regularized_incomplete_beta
+from .estimators import SortedSample, quantile_rank
+from .special_functions import regularized_incomplete_beta
 
 __all__ = [
     "BootstrapWeights",
@@ -95,10 +95,8 @@ class BootstrapWeights:
 
 @functools.lru_cache(maxsize=16)
 def _window_weights(n: int, r: int) -> BootstrapWeights:
-    params = BetaParams(float(r), float(n - r + 1))
-
     def cdf(i: int) -> float:
-        return regularized_incomplete_beta(i / n, params)
+        return regularized_incomplete_beta(i / n, r, n - r + 1)
 
     lo = hi = r
     lower = [cdf(r)]  # I_{i/n} for i = r, r-1, ..., lo
@@ -124,7 +122,7 @@ def bootstrap_weights(n: int, r: int) -> BootstrapWeights:
     return _window_weights(n, r)
 
 
-def bootstrap_variance(sorted_sample: SortedSample, p: float | ProbabilityLevel) -> float:
+def bootstrap_variance(sorted_sample: SortedSample, p: float) -> float:
     """Analytic bootstrap variance of the sample p-quantile, r = floor(n*p).
 
     Raises InsufficientSamples when r would be zero; see `tail_variance`.

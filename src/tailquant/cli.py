@@ -17,8 +17,8 @@ import sys
 from .bayes import PriorBelief, posterior
 from .bootstrap import bootstrap_variance, bootstrap_weights
 from .errors import DomainError, InsufficientSamples, TailquantError
-from .estimators import ProbabilityLevel, Sample, quantile_rank, sample_quantile, sort_ascending
-from .experiment import ExperimentConfig, Method, _fmt, read_config, run_experiment
+from .estimators import Sample, check_p, quantile_rank, sample_quantile, sort_ascending
+from .experiment import ExperimentConfig, _fmt, parse_value, read_config, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,23 +58,23 @@ def _read_observations(path: str) -> list[float]:
 def _cmd_estimate(args) -> int:
     if (args.prior_mean is None) != (args.prior_var is None):
         raise DomainError("--prior-mean and --prior-var must be given together")
-    level = ProbabilityLevel(args.p_value)
+    p = check_p(args.p_value)
+    prior = None if args.prior_mean is None else PriorBelief(args.prior_mean, args.prior_var)
     sorted_sample = sort_ascending(Sample(_read_observations(args.data)))
-    estimate = sample_quantile(sorted_sample, level)
+    estimate = sample_quantile(sorted_sample, p)
     # every line is computed before any is printed, so a failure prints none
     lines = [
         f"n={estimate.n}",
-        f"p={_fmt(level.p)}",
+        f"p={_fmt(p)}",
         f"rank={estimate.rank}",
         f"quantile={_fmt(estimate.value)}",
     ]
     want_variance = args.variance_mode == "bootstrap"
-    if want_variance or args.prior_mean is not None:
-        variance = bootstrap_variance(sorted_sample, level)
+    if want_variance or prior is not None:
+        variance = bootstrap_variance(sorted_sample, p)
         if want_variance:
             lines.append(f"bootstrap_variance={_fmt(variance)}")
-    if args.prior_mean is not None:
-        prior = PriorBelief(args.prior_mean, args.prior_var)
+    if prior is not None:
         belief = posterior(prior, estimate.value, variance)
         lines.append(f"posterior_mean={_fmt(belief.mean)}")
         lines.append(f"posterior_variance={_fmt(belief.variance)}")
@@ -84,7 +84,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    rank = quantile_rank(args.n, ProbabilityLevel(args.p_value))
+    rank = quantile_rank(args.n, check_p(args.p_value))
     weights = bootstrap_weights(args.n, rank)
     for i, w in enumerate(weights.w, start=1):
         print(f"{i},{_fmt(w)}")
@@ -92,25 +92,27 @@ def _cmd_weights(args) -> int:
     return EXIT_OK
 
 
+# simulate flags that override a config key: flag -> (config key, help); the
+# metavar is the one argparse derives from the flag
+_CONFIG_FLAGS = {
+    "--p": ("p_values", "comma-separated p-values"),
+    "--n": ("sample_sizes", "comma-separated sample sizes"),
+    "--sigma2": ("prior_variances", "comma-separated prior variances"),
+    "--prior-mean": ("prior_mean", None),
+    "--trials": ("trials", None),
+    "--seed": ("seed", None),
+    "--methods": ("methods", "comma-separated subset of sample,bayes_known,bayes_bootstrap"),
+}
+
+
 def _cmd_simulate(args) -> int:
+    overrides = {
+        key: parse_value(key, getattr(args, key), flag)
+        for flag, (key, _) in _CONFIG_FLAGS.items()
+        if getattr(args, key) is not None
+    }
     config = read_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.p is not None:
-        overrides["p_values"] = tuple(args.p)
-    if args.n is not None:
-        overrides["sample_sizes"] = tuple(args.n)
-    if args.sigma2 is not None:
-        overrides["prior_variances"] = tuple(args.sigma2)
-    if args.prior_mean is not None:
-        overrides["prior_mean"] = args.prior_mean
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.methods is not None:
-        overrides["methods"] = tuple(Method(m) for m in args.methods)
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config = dataclasses.replace(config, **overrides)
 
     table = run_experiment(config, workers=args.workers)
     table.write_csv(args.out)
@@ -123,18 +125,6 @@ def _cmd_simulate(args) -> int:
         print(f"p={p:g} n={n} sigma2={s2:g} trials={config.trials}: {parts}")
     print(f"wrote {args.out} ({len(table.rows)} rows)")
     return EXIT_OK
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
-def _str_list(text: str) -> list[str]:
-    return [v.strip() for v in text.split(",") if v.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,16 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
         "per-cell, per-method RMSE as CSV.  Flags override config-file keys.",
     )
     sim.add_argument("--config", default=None, help="key=value config file")
-    sim.add_argument("--p", type=_float_list, default=None, help="comma-separated p-values")
-    sim.add_argument("--n", type=_int_list, default=None, help="comma-separated sample sizes")
-    sim.add_argument("--sigma2", type=_float_list, default=None, help="comma-separated prior variances")
-    sim.add_argument("--prior-mean", type=float, default=None, dest="prior_mean")
-    sim.add_argument("--trials", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument(
-        "--methods", type=_str_list, default=None,
-        help="comma-separated subset of sample,bayes_known,bayes_bootstrap",
-    )
+    for flag, (key, help_text) in _CONFIG_FLAGS.items():
+        metavar = flag[2:].replace("-", "_").upper()
+        sim.add_argument(flag, dest=key, metavar=metavar, default=None, help=help_text)
     sim.add_argument("--workers", type=int, default=1, help="concurrent grid cells")
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.set_defaults(func=_cmd_simulate)

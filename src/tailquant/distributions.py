@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import PriorBelief
-from .errors import DomainError
-from .estimators import ProbabilityLevel, Sample, _as_level
+from .errors import DomainError, integer, real
+from .estimators import Sample, check_p
 from .special_functions import normal_quantile
 
 __all__ = [
@@ -59,14 +59,17 @@ class RngStream:
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not (isinstance(self.seed, int) and 0 <= self.seed < _U64_MAX):
+        seed, path = integer(self.seed), tuple(map(integer, self.path))
+        if not 0 <= seed < _U64_MAX:
             raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not all(isinstance(i, int) and i >= 0 for i in self.path):
+        if not all(i >= 0 for i in path):
             raise DomainError(f"stream path must be non-negative integers, got {self.path!r}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "path", path)
 
     def child(self, *indices: int) -> "RngStream":
         """A substream addressed by appending indices to this stream's path."""
-        return RngStream(self.seed, self.path + tuple(int(i) for i in indices))
+        return RngStream(self.seed, self.path + indices)
 
     def generator(self) -> np.random.Generator:
         """A fresh counter-based generator positioned at this stream's origin."""
@@ -91,9 +94,10 @@ class LogExponential:
     rate: float
 
     def __post_init__(self):
-        if not (isinstance(self.rate, (int, float)) and math.isfinite(self.rate) and self.rate > 0.0):
+        rate = real(self.rate)
+        if not (math.isfinite(rate) and rate > 0.0):
             raise DomainError(f"rate must be finite and > 0, got {self.rate!r}")
-        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "rate", rate)
 
     def pdf(self, x: float) -> float:
         """Density rate * exp(x - rate * e^x); underflows to 0 in both tails."""
@@ -117,14 +121,13 @@ class LogExponential:
             return 1.0
         return -math.expm1(-t)
 
-    def quantile(self, q: float | ProbabilityLevel) -> float:
+    def quantile(self, q: float) -> float:
         """Inverse CDF: log(-log(1-q) / rate)."""
-        level = _as_level(q)
-        return math.log(-math.log1p(-level.p)) - math.log(self.rate)
+        return math.log(-math.log1p(-check_p(q))) - math.log(self.rate)
 
     def sample(self, n: int, rng: RngStream) -> Sample:
         """n independent inverse-CDF draws, deterministic given the stream."""
-        _check_size(n)
+        n = _check_size(n)
         return Sample(self._from_lattice(_lattice(rng.generator(), n)))
 
     def lowest(self, n: int, k: int, rng: RngStream) -> np.ndarray:
@@ -133,10 +136,10 @@ class LogExponential:
         Costs one O(n) integer select plus O(k log k); only k values are
         transformed.  Returns a read-only array.
         """
-        _check_size(n)
-        if not (isinstance(k, int) and 1 <= k <= n):
+        n, count = _check_size(n), integer(k)
+        if not 1 <= count <= n:
             raise DomainError(f"k must be an integer in 1..{n}, got {k!r}")
-        smallest = np.sort(np.partition(_lattice(rng.generator(), n), k - 1)[:k])
+        smallest = np.sort(np.partition(_lattice(rng.generator(), n), count - 1)[:count])
         values = self._from_lattice(smallest)
         if not np.all(np.isfinite(values)):
             raise DomainError("draws must all be finite")
@@ -150,49 +153,49 @@ class LogExponential:
         return np.log(-np.log1p(-_unit(k))) - math.log(self.rate)
 
 
-def _check_size(n: int) -> None:
-    if not (isinstance(n, int) and n >= 1):
+def _check_size(n: int) -> int:
+    size = integer(n)
+    if not size >= 1:
         raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
+    return size
 
 
 def _finite(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
+    value = real(x)
+    if not math.isfinite(value):
         raise DomainError(f"evaluation point must be finite, got {x!r}")
-    return x
+    return value
 
 
-def rate_for_quantile(x_p: float, p: float | ProbabilityLevel) -> LogExponential:
+def rate_for_quantile(x_p: float, p: float) -> LogExponential:
     """The log-exponential model whose p-quantile is exactly x_p.
 
     Solving 1 - exp(-rate * e^{x_p}) = p gives rate = -log(1-p) * e^{-x_p}.
     Raises DomainError when that rate overflows or underflows to 0 (|x_p| >~ 700).
     """
-    level = _as_level(p)
+    p = check_p(p)
     x_p = _finite(x_p)
     try:
-        rate = -math.log1p(-level.p) * math.exp(-x_p)
+        rate = -math.log1p(-p) * math.exp(-x_p)
     except OverflowError:
         rate = math.inf
     if not 0.0 < rate < math.inf:
         raise DomainError(
-            f"no log-exponential model has x_p = {x_p!r} as its p = {level.p!r} "
+            f"no log-exponential model has x_p = {x_p!r} as its p = {p!r} "
             f"quantile: the rate {'overflows' if rate else 'underflows to 0'}"
         )
     return LogExponential(rate=rate)
 
 
-def asymptotic_variance(
-    p: float | ProbabilityLevel, n: int, density_at_quantile: float
-) -> float:
+def asymptotic_variance(p: float, n: int, density_at_quantile: float) -> float:
     """Large-n variance p(1-p) / (n * f(x_p)^2) of the sample p-quantile."""
-    level = _as_level(p)
-    _check_size(n)
+    p = check_p(p)
+    n = _check_size(n)
     if not (math.isfinite(density_at_quantile) and density_at_quantile > 0.0):
         raise DomainError(
             f"density at the quantile must be finite and > 0, got {density_at_quantile!r}"
         )
-    return level.p * (1.0 - level.p) / (n * density_at_quantile * density_at_quantile)
+    return p * (1.0 - p) / (n * density_at_quantile * density_at_quantile)
 
 
 def normal_draw(prior: PriorBelief, rng: RngStream) -> float:

@@ -1,4 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the readers of outside scalars."""
+
+import math
+
+import numpy as np
+
+_REALS = (float, int, np.floating, np.integer)
+_INTEGERS = (int, np.integer)
+
+
+def real(value) -> float:
+    """``float(value)`` for a Python or numpy real, else NaN, which fails every range check."""
+    return float(value) if isinstance(value, _REALS) else math.nan
+
+
+def integer(value) -> int | float:
+    """``int(value)`` for a Python or numpy integer, else NaN."""
+    return int(value) if isinstance(value, _INTEGERS) else math.nan
 
 
 class TailquantError(Exception):

@@ -13,35 +13,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientSamples, RankOutOfRange
+from .errors import DomainError, InsufficientSamples, real
 
 __all__ = [
-    "ProbabilityLevel",
     "Sample",
     "SortedSample",
     "QuantileEstimate",
+    "check_p",
     "sort_ascending",
-    "order_statistic",
     "sample_quantile",
     "quantile_rank",
     "min_sample_size",
 ]
 
 
-@dataclass(frozen=True)
-class ProbabilityLevel:
-    """A probability level p strictly inside (0, 1)."""
-
-    p: float
-
-    def __post_init__(self):
-        if not (isinstance(self.p, (int, float)) and 0.0 < self.p < 1.0):
-            raise DomainError(f"probability level must satisfy 0 < p < 1, got {self.p!r}")
-        object.__setattr__(self, "p", float(self.p))
-
-
-def _as_level(p: float | ProbabilityLevel) -> ProbabilityLevel:
-    return p if isinstance(p, ProbabilityLevel) else ProbabilityLevel(p)
+def check_p(p: float) -> float:
+    """The probability level p as a float; raises unless 0 < p < 1."""
+    level = real(p)
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"probability level must satisfy 0 < p < 1, got {p!r}")
+    return level
 
 
 def _as_array(values) -> np.ndarray:
@@ -94,7 +85,7 @@ class QuantileEstimate:
 
     value: float
     rank: int
-    p: ProbabilityLevel
+    p: float
     n: int
 
     def __post_init__(self):
@@ -107,48 +98,32 @@ def sort_ascending(sample: Sample) -> SortedSample:
     return SortedSample(np.sort(sample.values))
 
 
-def order_statistic(sorted_sample: SortedSample, rank: int) -> float:
-    """The rank-th smallest observation, one-based.
-
-    Rank 0 is rejected: with no observation below the minimum, the sample
-    carries no information there.
-    """
-    n = sorted_sample.n
-    if not 1 <= rank <= n:
-        raise RankOutOfRange(f"order-statistic rank must lie in 1..{n}, got {rank}")
-    return float(sorted_sample.values[rank - 1])
-
-
-def quantile_rank(n: int, p: float | ProbabilityLevel) -> int:
+def quantile_rank(n: int, p: float) -> int:
     """One-based rank floor(n*p) of the sample quantile; raises when it is zero."""
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n!r}")
-    level = _as_level(p)
-    r = math.floor(n * level.p)
+    p = check_p(p)
+    r = math.floor(n * p)
     if r < 1:
-        raise InsufficientSamples(level.p, n, min_sample_size(level))
+        raise InsufficientSamples(p, n, min_sample_size(p))
     return r
 
 
-def min_sample_size(p: float | ProbabilityLevel) -> int:
+def min_sample_size(p: float) -> int:
     """Smallest n for which floor(n*p) >= 1 under the exact floating-point rule."""
-    level = _as_level(p)
-    n = max(1, math.ceil(1.0 / level.p))
-    while math.floor(n * level.p) < 1:
+    p = check_p(p)
+    n = max(1, math.ceil(1.0 / p))
+    while math.floor(n * p) < 1:
         n += 1
-    while n > 1 and math.floor((n - 1) * level.p) >= 1:
+    while n > 1 and math.floor((n - 1) * p) >= 1:
         n -= 1
     return n
 
 
-def sample_quantile(
-    sample: Sample | SortedSample, p: float | ProbabilityLevel
-) -> QuantileEstimate:
+def sample_quantile(sample: Sample | SortedSample, p: float) -> QuantileEstimate:
     """Order-statistic estimate of the p-quantile: x_(r) with r = floor(n*p)."""
-    level = _as_level(p)
+    p = check_p(p)
     if isinstance(sample, Sample):
         sample = sort_ascending(sample)
-    r = quantile_rank(sample.n, level)
-    return QuantileEstimate(
-        value=order_statistic(sample, r), rank=r, p=level, n=sample.n
-    )
+    r = quantile_rank(sample.n, p)
+    return QuantileEstimate(value=float(sample.values[r - 1]), rank=r, p=p, n=sample.n)

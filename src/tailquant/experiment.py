@@ -33,8 +33,8 @@ import numpy as np
 from .bayes import PriorBelief, posterior
 from .bootstrap import bootstrap_weights, tail_variance
 from .distributions import RngStream, asymptotic_variance, normal_draw, rate_for_quantile
-from .errors import ConfigError, DomainError, EmptyInput
-from .estimators import ProbabilityLevel, _as_level, min_sample_size, quantile_rank
+from .errors import ConfigError, DomainError, EmptyInput, integer, real
+from .estimators import min_sample_size, quantile_rank
 
 __all__ = [
     "Method",
@@ -49,6 +49,7 @@ __all__ = [
     "run_experiment",
     "read_config",
     "parse_config",
+    "parse_value",
 ]
 
 
@@ -99,7 +100,8 @@ class ExperimentConfig:
     methods: tuple[Method, ...] = ALL_METHODS
 
     def __post_init__(self):
-        if not (isinstance(self.prior_mean, (int, float)) and math.isfinite(self.prior_mean)):
+        prior_mean = real(self.prior_mean)
+        if not math.isfinite(prior_mean):
             raise ConfigError(f"prior_mean must be finite, got {self.prior_mean!r}")
         variances = tuple(float(v) for v in _non_empty("prior_variances", self.prior_variances))
         if any(not (math.isfinite(v) and v > 0.0) for v in variances):
@@ -113,9 +115,11 @@ class ExperimentConfig:
             sizes = tuple(int(n) for n in _non_empty("sample_sizes", sizes))
             if any(n < 1 for n in sizes):
                 raise ConfigError(f"sample_sizes must be >= 1, got {sizes}")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        trials = integer(self.trials)
+        if not trials >= 1:
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        seed = integer(self.seed)
+        if not 0 <= seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         try:
             methods = tuple(
@@ -125,10 +129,12 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         methods = tuple(dict.fromkeys(methods))
-        object.__setattr__(self, "prior_mean", float(self.prior_mean))
+        object.__setattr__(self, "prior_mean", prior_mean)
         object.__setattr__(self, "prior_variances", variances)
         object.__setattr__(self, "p_values", p_values)
         object.__setattr__(self, "sample_sizes", sizes)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "methods", methods)
         for p in p_values:
             for n in self.sizes_for(p):
@@ -215,7 +221,7 @@ def rmse(squared_errors) -> float:
 
 
 def run_trial(
-    p: float | ProbabilityLevel,
+    p: float,
     n: int,
     prior: PriorBelief,
     methods: tuple[Method, ...],
@@ -230,11 +236,10 @@ def run_trial(
     bootstrap variance is requested.  Methods consume no randomness of their
     own.
     """
-    level = _as_level(p)
-    r = quantile_rank(n, level)
+    r = quantile_rank(n, p)
     weights = bootstrap_weights(n, r) if Method.BAYES_BOOTSTRAP in methods else None
     x_p = normal_draw(prior, rng.child(_DRAW_QUANTILE))
-    model = rate_for_quantile(x_p, level)
+    model = rate_for_quantile(x_p, p)
     k = r if weights is None else weights.hi
     tail = model.lowest(n, k, rng.child(_DRAW_SAMPLE))
     estimate = float(tail[r - 1])
@@ -244,7 +249,7 @@ def run_trial(
         if method is Method.SAMPLE:
             estimates[method] = estimate
         elif method is Method.BAYES_KNOWN:
-            sn2 = asymptotic_variance(level, n, model.pdf(x_p))
+            sn2 = asymptotic_variance(p, n, model.pdf(x_p))
             estimates[method] = posterior(prior, estimate, sn2).mean
         elif method is Method.BAYES_BOOTSTRAP:
             sn2 = tail_variance(tail, weights)
@@ -263,7 +268,7 @@ def _float_bits(x: float) -> int:
 
 def trial_stream(seed: int, p: float, n: int, sigma2: float, trial: int) -> RngStream:
     """The substream owned by one (cell, trial); addressed by cell content."""
-    return RngStream(seed).child(_float_bits(p), int(n), _float_bits(sigma2), trial)
+    return RngStream(seed, (_float_bits(p), int(n), _float_bits(sigma2), trial))
 
 
 def _run_cell(config: ExperimentConfig, cell: tuple[float, int, float]) -> dict[Method, float]:
@@ -281,11 +286,12 @@ def _run_cell(config: ExperimentConfig, cell: tuple[float, int, float]) -> dict[
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RmseTable:
     """RMSE table over the whole grid; deterministic for any worker count >= 1."""
-    if not (isinstance(workers, int) and workers >= 1):
+    threads = integer(workers)
+    if not threads >= 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     cells = config.cells()
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if threads > 1 and len(cells) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(lambda c: _run_cell(config, c), cells))
     else:
         outcomes = [_run_cell(config, cell) for cell in cells]
@@ -317,24 +323,25 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"malformed config line {lineno}: {raw.rstrip()!r}")
         if key not in _LIST_KEYS and key not in _SCALAR_KEYS:
             raise ConfigError(f"unknown config key {key!r} on line {lineno}")
-        try:
-            overrides[key] = _parse_value(key, value)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r} on line {lineno}: {exc}") from None
+        overrides[key] = parse_value(key, value, f"{key!r} on line {lineno}")
     return ExperimentConfig(**overrides)
 
 
-def _parse_value(key: str, value: str):
-    if key in _LIST_KEYS:
-        items = [v.strip() for v in value.split(",") if v.strip()]
-        if key == "methods":
-            return tuple(Method(v) for v in items)
-        if key == "sample_sizes":
-            return tuple(int(v) for v in items)
-        return tuple(float(v) for v in items)
-    if key == "prior_mean":
-        return float(value)
-    return int(value)
+def parse_value(key: str, value: str, source: str):
+    """Parse the text of config key ``key``; a bad value raises ConfigError naming ``source``."""
+    try:
+        if key in _LIST_KEYS:
+            items = [v.strip() for v in value.split(",") if v.strip()]
+            if key == "methods":
+                return tuple(Method(v) for v in items)
+            if key == "sample_sizes":
+                return tuple(int(v) for v in items)
+            return tuple(float(v) for v in items)
+        if key == "prior_mean":
+            return float(value)
+        return int(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {source}: {exc}") from None
 
 
 def read_config(path) -> ExperimentConfig:

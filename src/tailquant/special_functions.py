@@ -9,13 +9,12 @@ last.  A high-accuracy normal quantile is included for inverse-CDF sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, NoConvergence
+from .errors import DomainError, NoConvergence, real
 
 __all__ = [
-    "BetaParams",
     "log_gamma",
+    "log_beta",
     "log_binomial",
     "regularized_incomplete_beta",
     "normal_quantile",
@@ -53,12 +52,13 @@ _LOG_UNDERFLOW = -740.0
 
 def log_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
-    if not (x > 0.0) or math.isinf(x) or math.isnan(x):
+    value = real(x)
+    if not 0.0 < value < math.inf:
         raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    if x < 0.5:
+    if value < 0.5:
         # Reflection: Gamma(x) * Gamma(1-x) = pi / sin(pi x), and sin > 0 on (0, 0.5).
-        return _LN_PI - math.log(math.sin(math.pi * x)) - _lanczos(1.0 - x)
-    return _lanczos(x)
+        return _LN_PI - math.log(math.sin(math.pi * value)) - _lanczos(1.0 - value)
+    return _lanczos(value)
 
 
 def _lanczos(x: float) -> float:
@@ -79,24 +79,12 @@ def log_binomial(n: int, r: int) -> float:
     return log_gamma(n + 1.0) - log_gamma(r + 1.0) - log_gamma(n - r + 1.0)
 
 
-@dataclass(frozen=True)
-class BetaParams:
-    """Shape pair (a, b) of a beta distribution, both strictly positive."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        for name, v in (("a", self.a), ("b", self.b)):
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise DomainError(f"beta shape {name} must be finite and > 0, got {v!r}")
-
-    def log_beta(self) -> float:
-        """ln B(a, b)."""
-        return log_gamma(self.a) + log_gamma(self.b) - log_gamma(self.a + self.b)
+def log_beta(a: float, b: float) -> float:
+    """ln B(a, b) for shapes a, b > 0."""
+    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-def regularized_incomplete_beta(x: float, params: BetaParams) -> float:
+def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b), i.e. the beta-distribution CDF.
 
     Evaluated by modified-Lentz continued fraction.  The fraction converges
@@ -104,18 +92,19 @@ def regularized_incomplete_beta(x: float, params: BetaParams) -> float:
     I_x(a,b) = 1 - I_{1-x}(b,a) is applied first.  Raises NoConvergence if
     the fraction has not settled to CF_TOL within CF_MAX_ITER iterations.
     """
-    if isinstance(x, float) and math.isnan(x):
-        raise DomainError("regularized_incomplete_beta requires x in [0, 1], got nan")
+    for name, shape in (("a", a), ("b", b)):
+        if not (math.isfinite(real(shape)) and shape > 0.0):
+            raise DomainError(f"beta shape {name} must be finite and > 0, got {shape!r}")
+    a, b = float(a), float(b)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"regularized_incomplete_beta requires x in [0, 1], got {x!r}")
-    a, b = params.a, params.b
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
 
     # log of x^a (1-x)^b / B(a, b), the prefactor common to both branches
-    log_pre = a * math.log(x) + b * math.log1p(-x) - params.log_beta()
+    log_pre = a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
     direct = x < (a + 1.0) / (a + b + 2.0)
     if log_pre < _LOG_UNDERFLOW:
         return 0.0 if direct else 1.0

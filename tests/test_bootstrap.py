@@ -37,8 +37,8 @@ def quadrature_weights(n: int, r: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def dense_weights(n: int, r: int) -> np.ndarray:
     """Reference: all n+1 CDF values, differenced, increments below the floor zeroed."""
-    params = sf.BetaParams(float(r), float(n - r + 1))
-    cdf = np.array([sf.regularized_incomplete_beta(i / n, params) for i in range(n + 1)])
+    a, b = float(r), float(n - r + 1)
+    cdf = np.array([sf.regularized_incomplete_beta(i / n, a, b) for i in range(n + 1)])
     w = np.diff(cdf)
     w[w < _MASS_FLOOR] = 0.0
     return w

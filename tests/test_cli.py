@@ -154,6 +154,18 @@ class TestEstimate:
             prior_mean = (pairs["posterior_mean"] - (1.0 - w) * quantile) / w
             assert prior_mean == pytest.approx(float(value), rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("content", [None, "-1e200\n" + "1e200\n" * 99], ids=["missing", "overflow"])
+    def test_prior_is_checked_before_the_file_is_read(self, capsys, tmp_path, content):
+        # neither the missing file nor the overflowing bootstrap variance is reached
+        path = tmp_path / "data.txt"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run_cli(
+            capsys, "estimate", str(path), "--p-value", "0.1",
+            "--prior-mean", "0", "--prior-var", "0",
+        )
+        assert (code, out, err) == (1, "", "error: prior variance must be finite and > 0, got 0.0\n")
+
     def test_prior_flags_must_pair(self, capsys, hundred_file):
         code, _, err = run_cli(
             capsys, "estimate", str(hundred_file), "--p-value", "0.2", "--prior-mean", "0"
@@ -267,6 +279,17 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err.startswith("error: no log-exponential model has x_p = ")
         assert err.endswith(f"the rate {fault}\n") and err.count("\n") == 1
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--n", "10,abc"), ("--trials", "1.5"), ("--seed", "x"), ("--methods", "sample,oracle")],
+    )
+    def test_bad_flag_value_is_one_line(self, capsys, tmp_path, flag, value):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "simulate", flag, value, "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: bad value for {flag}: ") and err.count("\n") == 1
         assert not out_path.exists()
 
     def test_config_error_names_pair(self, capsys, tmp_path):

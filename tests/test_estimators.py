@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailquant.errors import DomainError, InsufficientSamples, RankOutOfRange
+from tailquant.errors import DomainError, InsufficientSamples
 from tailquant.estimators import (
-    ProbabilityLevel,
     QuantileEstimate,
     Sample,
     SortedSample,
+    check_p,
     min_sample_size,
-    order_statistic,
     quantile_rank,
     sample_quantile,
     sort_ascending,
@@ -24,12 +23,12 @@ finite_floats = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, allo
 class TestProbabilityLevel:
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, math.nan])
     def test_rejects_out_of_range(self, p):
-        with pytest.raises(DomainError):
-            ProbabilityLevel(p)
+        with pytest.raises(DomainError, match="probability level must satisfy 0 < p < 1"):
+            quantile_rank(100, p)
 
     def test_accepts_interior(self):
-        assert ProbabilityLevel(0.01).p == 0.01
-        assert ProbabilityLevel(1e-9).p == 1e-9
+        assert check_p(0.01) == 0.01
+        assert check_p(1e-9) == 1e-9
 
 
 class TestSample:
@@ -77,18 +76,6 @@ class TestSortAscending:
         assert sorted(data) == ordered.values.tolist()
 
 
-class TestOrderStatistic:
-    def test_examples(self):
-        three = SortedSample([1.0, 2.0, 3.0])
-        assert order_statistic(three, 2) == 2.0
-        assert order_statistic(SortedSample([7.0]), 1) == 7.0
-
-    @pytest.mark.parametrize("rank", [0, -1, 4])
-    def test_rank_out_of_range(self, rank):
-        with pytest.raises(RankOutOfRange):
-            order_statistic(SortedSample([1.0, 2.0, 3.0]), rank)
-
-
 class TestSampleQuantile:
     def test_hundred_observations_p_point_two(self):
         rng = np.random.default_rng(0)
@@ -118,8 +105,7 @@ class TestSampleQuantile:
         ordered = SortedSample(np.arange(1.0, 17.0))
         estimate = sample_quantile(ordered, p)
         assert estimate.rank == 15
-        assert order_statistic(ordered, 16) == 16.0
-        assert QuantileEstimate(value=16.0, rank=16, p=ProbabilityLevel(p), n=16).rank == 16
+        assert QuantileEstimate(value=16.0, rank=16, p=p, n=16).rank == 16
 
     def test_rank_law_grid(self):
         levels = [0.01, 0.05, 0.1, 0.25, 0.31, 0.5, 0.75, 0.9, 0.97]
@@ -177,6 +163,6 @@ class TestRankHelpers:
 
     def test_quantile_estimate_validates_rank(self):
         with pytest.raises(DomainError):
-            QuantileEstimate(value=1.0, rank=0, p=ProbabilityLevel(0.2), n=10)
+            QuantileEstimate(value=1.0, rank=0, p=0.2, n=10)
         with pytest.raises(DomainError):
-            QuantileEstimate(value=1.0, rank=11, p=ProbabilityLevel(0.2), n=10)
+            QuantileEstimate(value=1.0, rank=11, p=0.2, n=10)
