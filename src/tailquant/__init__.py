@@ -19,13 +19,11 @@ from .errors import (
     EmptyInput,
     InsufficientSamples,
     NoConvergence,
-    RankOutOfRange,
     TailquantError,
 )
-from .estimators import QuantileEstimate, Sample, SortedSample, sample_quantile, sort_ascending
+from .estimators import quantile_rank, sample_quantile
 from .experiment import ExperimentConfig, Method, RmseTable, run_experiment
 from .special_functions import (
-    log_binomial,
     log_gamma,
     normal_quantile,
     regularized_incomplete_beta,
@@ -45,23 +43,18 @@ __all__ = [
     "NoConvergence",
     "PosteriorBelief",
     "PriorBelief",
-    "QuantileEstimate",
-    "RankOutOfRange",
     "RmseTable",
     "RngStream",
-    "Sample",
-    "SortedSample",
     "TailquantError",
     "bootstrap_variance",
     "bootstrap_weights",
-    "log_binomial",
     "log_gamma",
     "normal_quantile",
     "posterior",
+    "quantile_rank",
     "rate_for_quantile",
     "regularized_incomplete_beta",
     "run_experiment",
     "sample_quantile",
-    "sort_ascending",
     "__version__",
 ]

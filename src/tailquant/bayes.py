@@ -74,14 +74,14 @@ def posterior(prior: PriorBelief, xhat: float, sample_variance: float) -> Poster
     ``sample_variance`` is sigma_n^2, finite and >= 0: the true-density
     variance or the analytic bootstrap estimate.
     """
-    xhat = float(xhat)
-    if not math.isfinite(xhat):
+    estimate = real(xhat)
+    if not math.isfinite(estimate):
         raise DomainError(f"sample quantile must be finite, got {xhat!r}")
     sample_variance = _check_variance("sample variance", sample_variance, allow_zero=True)
     s2 = prior.variance
     w = sample_variance / (s2 + sample_variance)
     return PosteriorBelief(
-        mean=w * prior.mean + (1.0 - w) * xhat,
+        mean=w * prior.mean + (1.0 - w) * estimate,
         # s2 * sn2 / (s2 + sn2), grouped so that the product cannot overflow;
         # unlike 1/(1/s2 + 1/sn2) it is defined at sn2 = 0
         variance=s2 * w,

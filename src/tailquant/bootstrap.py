@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RankOutOfRange
-from .estimators import SortedSample, quantile_rank
+from .errors import DomainError
+from .estimators import observations, quantile_rank, smallest
 from .special_functions import regularized_incomplete_beta
 
 __all__ = [
@@ -118,17 +118,18 @@ def _window_weights(n: int, r: int) -> BootstrapWeights:
 def bootstrap_weights(n: int, r: int) -> BootstrapWeights:
     """Exact infinite-resample weights w_1..w_n for the rank-r order statistic."""
     if not 1 <= r <= n:
-        raise RankOutOfRange(f"rank must lie in 1..{n}, got {r}")
+        raise DomainError(f"rank must lie in 1..{n}, got {r}")
     return _window_weights(n, r)
 
 
-def bootstrap_variance(sorted_sample: SortedSample, p: float) -> float:
-    """Analytic bootstrap variance of the sample p-quantile, r = floor(n*p).
+def bootstrap_variance(values, p: float) -> float:
+    """Analytic bootstrap variance of the sample p-quantile, r = floor(n*p), from values in any order.
 
     Raises InsufficientSamples when r would be zero; see `tail_variance`.
     """
-    n = sorted_sample.n
-    return tail_variance(sorted_sample.values, bootstrap_weights(n, quantile_rank(n, p)))
+    values = observations(values)
+    weights = bootstrap_weights(values.size, quantile_rank(values.size, p))
+    return tail_variance(smallest(values, weights.hi), weights)
 
 
 def tail_variance(tail: np.ndarray, weights: BootstrapWeights) -> float:

@@ -15,9 +15,9 @@ import re
 import sys
 
 from .bayes import PriorBelief, posterior
-from .bootstrap import bootstrap_variance, bootstrap_weights
+from .bootstrap import bootstrap_weights, tail_variance
 from .errors import DomainError, InsufficientSamples, TailquantError
-from .estimators import Sample, check_p, quantile_rank, sample_quantile, sort_ascending
+from .estimators import check_p, observations, quantile_rank, smallest
 from .experiment import ExperimentConfig, _fmt, parse_value, read_config, run_experiment
 
 EXIT_OK = 0
@@ -60,22 +60,22 @@ def _cmd_estimate(args) -> int:
         raise DomainError("--prior-mean and --prior-var must be given together")
     p = check_p(args.p_value)
     prior = None if args.prior_mean is None else PriorBelief(args.prior_mean, args.prior_var)
-    sorted_sample = sort_ascending(Sample(_read_observations(args.data)))
-    estimate = sample_quantile(sorted_sample, p)
-    # every line is computed before any is printed, so a failure prints none
-    lines = [
-        f"n={estimate.n}",
-        f"p={_fmt(p)}",
-        f"rank={estimate.rank}",
-        f"quantile={_fmt(estimate.value)}",
-    ]
+    values = observations(_read_observations(args.data))
+    n = values.size
+    r = quantile_rank(n, p)
+    # a prior needs the bootstrap variance as its likelihood variance
     want_variance = args.variance_mode == "bootstrap"
-    if want_variance or prior is not None:
-        variance = bootstrap_variance(sorted_sample, p)
+    weights = bootstrap_weights(n, r) if want_variance or prior is not None else None
+    tail = smallest(values, r if weights is None else weights.hi)
+    quantile = float(tail[r - 1])
+    # every line is computed before any is printed, so a failure prints none
+    lines = [f"n={n}", f"p={_fmt(p)}", f"rank={r}", f"quantile={_fmt(quantile)}"]
+    if weights is not None:
+        variance = tail_variance(tail, weights)
         if want_variance:
             lines.append(f"bootstrap_variance={_fmt(variance)}")
     if prior is not None:
-        belief = posterior(prior, estimate.value, variance)
+        belief = posterior(prior, quantile, variance)
         lines.append(f"posterior_mean={_fmt(belief.mean)}")
         lines.append(f"posterior_variance={_fmt(belief.variance)}")
         lines.append(f"prior_weight={_fmt(belief.prior_weight)}")

@@ -13,7 +13,7 @@ so every draw is finite and every draw sequence is a pure function of
 `LogExponential.lowest(n, k, rng)` returns the k smallest of the n draws that
 `sample(n, rng)` makes, bit for bit, without transforming or sorting the
 other n - k.  Two facts make that exact.  The lattice integers are exact, so
-selecting the k smallest of them (an O(n) `np.partition` on int64) involves
+selecting the k smallest of them (`estimators.smallest` on int64) involves
 no rounding.  The map k -> log(-log1p(-k * 2^-53)) - log(rate) is
 increasing and applied elementwise, so the transform of the k smallest
 integers, in ascending order, is the k smallest draws, in ascending order;
@@ -32,7 +32,7 @@ import numpy as np
 
 from .bayes import PriorBelief
 from .errors import DomainError, integer, real
-from .estimators import Sample, check_p
+from .estimators import check_p, smallest
 from .special_functions import normal_quantile
 
 __all__ = [
@@ -125,10 +125,10 @@ class LogExponential:
         """Inverse CDF: log(-log(1-q) / rate)."""
         return math.log(-math.log1p(-check_p(q))) - math.log(self.rate)
 
-    def sample(self, n: int, rng: RngStream) -> Sample:
-        """n independent inverse-CDF draws, deterministic given the stream."""
+    def sample(self, n: int, rng: RngStream) -> np.ndarray:
+        """n independent inverse-CDF draws, in draw order, deterministic given the stream."""
         n = _check_size(n)
-        return Sample(self._from_lattice(_lattice(rng.generator(), n)))
+        return self._from_lattice(_lattice(rng.generator(), n))
 
     def lowest(self, n: int, k: int, rng: RngStream) -> np.ndarray:
         """The k smallest of the n draws `sample(n, rng)` makes, ascending, bit for bit.
@@ -139,8 +139,7 @@ class LogExponential:
         n, count = _check_size(n), integer(k)
         if not 1 <= count <= n:
             raise DomainError(f"k must be an integer in 1..{n}, got {k!r}")
-        smallest = np.sort(np.partition(_lattice(rng.generator(), n), count - 1)[:count])
-        values = self._from_lattice(smallest)
+        values = self._from_lattice(smallest(_lattice(rng.generator(), n), count))
         if not np.all(np.isfinite(values)):
             raise DomainError("draws must all be finite")
         if np.any(values[1:] < values[:-1]):

@@ -26,10 +26,6 @@ class DomainError(TailquantError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class RankOutOfRange(TailquantError, IndexError):
-    """An order-statistic rank is outside 1..n."""
-
-
 class InsufficientSamples(TailquantError):
     """The sample is too small to resolve the requested probability level.
 

@@ -1,26 +1,27 @@
-"""Sample containers, order statistics, and the rank-based sample quantile.
+"""The check of outside observations, order statistics, and the rank-based sample quantile.
 
 A quantile at probability level p is estimated by the order statistic at
 one-based rank r = floor(n*p).  The floor is taken on the product exactly as
 represented in floating point; there is no epsilon nudging, so tie cases
 behave identically everywhere in the package.
+
+Estimates read only the lowest order statistics, x_(1..r) or x_(1..hi) up to
+the top of the bootstrap weight window; `smallest`, which selects and sorts
+just those, is the one place where the package orders observations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InsufficientSamples, real
 
 __all__ = [
-    "Sample",
-    "SortedSample",
-    "QuantileEstimate",
+    "observations",
+    "smallest",
     "check_p",
-    "sort_ascending",
     "sample_quantile",
     "quantile_rank",
     "min_sample_size",
@@ -35,7 +36,8 @@ def check_p(p: float) -> float:
     return level
 
 
-def _as_array(values) -> np.ndarray:
+def observations(values) -> np.ndarray:
+    """Outside observations as a float64 array; raises unless 1-D, non-empty and finite."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise DomainError(f"observations must be one-dimensional, got shape {arr.shape}")
@@ -43,59 +45,12 @@ def _as_array(values) -> np.ndarray:
         raise DomainError("a sample needs at least one observation")
     if not np.all(np.isfinite(arr)):
         raise DomainError("observations must all be finite (no NaN or infinity)")
-    arr = arr.copy()
-    arr.flags.writeable = False
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """Unordered finite real observations."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_array(self.values))
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-
-@dataclass(frozen=True, eq=False)
-class SortedSample:
-    """Observations in ascending order; substrate for order statistics."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_array(self.values)
-        if np.any(arr[1:] < arr[:-1]):
-            raise DomainError("values are not in ascending order; use sort_ascending")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class QuantileEstimate:
-    """An order-statistic quantile estimate together with its rank metadata."""
-
-    value: float
-    rank: int
-    p: float
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.rank <= self.n:
-            raise DomainError(f"rank must lie in 1..{self.n}, got {self.rank}")
-
-
-def sort_ascending(sample: Sample) -> SortedSample:
-    """Sort a sample into ascending order."""
-    return SortedSample(np.sort(sample.values))
+def smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """The k lowest of trusted values, ascending, 1 <= k <= n: an O(n) select, then a sort of k."""
+    return np.sort(np.partition(values, k - 1)[:k])
 
 
 def quantile_rank(n: int, p: float) -> int:
@@ -120,10 +75,8 @@ def min_sample_size(p: float) -> int:
     return n
 
 
-def sample_quantile(sample: Sample | SortedSample, p: float) -> QuantileEstimate:
-    """Order-statistic estimate of the p-quantile: x_(r) with r = floor(n*p)."""
-    p = check_p(p)
-    if isinstance(sample, Sample):
-        sample = sort_ascending(sample)
-    r = quantile_rank(sample.n, p)
-    return QuantileEstimate(value=float(sample.values[r - 1]), rank=r, p=p, n=sample.n)
+def sample_quantile(values, p: float) -> float:
+    """Order-statistic estimate of the p-quantile, x_(r) with r = floor(n*p), from values in any order."""
+    values = observations(values)
+    r = quantile_rank(values.size, p)
+    return float(smallest(values, r)[-1])

@@ -103,18 +103,14 @@ class ExperimentConfig:
         prior_mean = real(self.prior_mean)
         if not math.isfinite(prior_mean):
             raise ConfigError(f"prior_mean must be finite, got {self.prior_mean!r}")
-        variances = tuple(float(v) for v in _non_empty("prior_variances", self.prior_variances))
-        if any(not (math.isfinite(v) and v > 0.0) for v in variances):
-            raise ConfigError(f"prior_variances must be finite and > 0, got {variances}")
-        p_values = tuple(float(p) for p in _non_empty("p_values", self.p_values))
-        for p in p_values:
-            if not 0.0 < p < 1.0:
-                raise ConfigError(f"p_values must lie strictly in (0, 1), got {p!r}")
+        variances = _elements("prior_variances", self.prior_variances, real,
+                              lambda v: math.isfinite(v) and v > 0.0, "be finite and > 0")
+        p_values = _elements("p_values", self.p_values, real,
+                             lambda p: 0.0 < p < 1.0, "lie strictly in (0, 1)")
         sizes = self.sample_sizes
         if sizes is not None:
-            sizes = tuple(int(n) for n in _non_empty("sample_sizes", sizes))
-            if any(n < 1 for n in sizes):
-                raise ConfigError(f"sample_sizes must be >= 1, got {sizes}")
+            # n >= 1 is False for the NaN that `integer` returns for a non-integer
+            sizes = _elements("sample_sizes", sizes, integer, lambda n: n >= 1, "be integers >= 1")
         trials = integer(self.trials)
         if not trials >= 1:
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
@@ -162,6 +158,16 @@ def _non_empty(name, seq):
     if not seq:
         raise ConfigError(f"{name} must not be empty")
     return seq
+
+
+def _elements(name, seq, read, valid, rule):
+    """Each element of a list field through ``read``; raises ConfigError echoing the first invalid one."""
+    items = _non_empty(name, seq)
+    values = tuple(map(read, items))
+    for item, value in zip(items, values):
+        if not valid(value):
+            raise ConfigError(f"{name} must {rule}, got {item!r}")
+    return values
 
 
 @dataclass(frozen=True)

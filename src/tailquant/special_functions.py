@@ -1,4 +1,4 @@
-"""Log-domain special functions: log-gamma, log-binomial, regularized incomplete beta.
+"""Log-domain special functions: log-gamma, log-beta, regularized incomplete beta.
 
 Everything here exists so that order-statistic weight integrals with sample
 sizes up to 1e7 can be evaluated without overflow: products such as
@@ -15,7 +15,6 @@ from .errors import DomainError, NoConvergence, real
 __all__ = [
     "log_gamma",
     "log_beta",
-    "log_binomial",
     "regularized_incomplete_beta",
     "normal_quantile",
     "CF_TOL",
@@ -68,15 +67,6 @@ def _lanczos(x: float) -> float:
         s += _LANCZOS_COEFFS[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
     return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(s)
-
-
-def log_binomial(n: int, r: int) -> float:
-    """Natural log of the binomial coefficient C(n, r)."""
-    if n < 0 or r < 0 or r > n:
-        raise DomainError(f"log_binomial requires 0 <= r <= n, got n={n}, r={r}")
-    if r == 0 or r == n:
-        return 0.0
-    return log_gamma(n + 1.0) - log_gamma(r + 1.0) - log_gamma(n - r + 1.0)
 
 
 def log_beta(a: float, b: float) -> float:

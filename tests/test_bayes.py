@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tailquant.bayes import PosteriorBelief, PriorBelief, posterior
 from tailquant.bootstrap import bootstrap_variance
 from tailquant.errors import DomainError
-from tailquant.estimators import SortedSample, min_sample_size, sample_quantile
+from tailquant.estimators import min_sample_size, sample_quantile
 
 means = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 variances = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
@@ -145,16 +145,15 @@ class TestTiedData:
     def test_posterior_is_defined_on_tied_samples(self, values, p, mu, s2):
         if values.size < min_sample_size(p):
             return
-        ordered = SortedSample(values)
-        estimate = sample_quantile(ordered, p)
-        sn2 = bootstrap_variance(ordered, p)
-        belief = posterior(PriorBelief(mu, s2), estimate.value, sn2)
+        estimate = sample_quantile(values, p)
+        sn2 = bootstrap_variance(values, p)
+        belief = posterior(PriorBelief(mu, s2), estimate, sn2)
         assert sn2 >= 0.0
         assert 0.0 <= belief.prior_weight <= 1.0
         assert 0.0 <= belief.variance <= s2
         if sn2 == 0.0:
             assert belief.prior_weight == 0.0
-            assert belief.mean == estimate.value
+            assert belief.mean == estimate
             assert belief.variance == 0.0
         if np.all(values == values[0]):
             assert sn2 == 0.0

@@ -16,8 +16,8 @@ from tailquant.bootstrap import (
     tail_variance,
 )
 from tailquant.distributions import RngStream, rate_for_quantile
-from tailquant.errors import DomainError, InsufficientSamples, NoConvergence, RankOutOfRange
-from tailquant.estimators import SortedSample, quantile_rank, sort_ascending
+from tailquant.errors import DomainError, InsufficientSamples, NoConvergence
+from tailquant.estimators import quantile_rank, sample_quantile
 
 
 def quadrature_weights(n: int, r: int) -> np.ndarray:
@@ -79,7 +79,7 @@ class TestBootstrapWeights:
 
     @pytest.mark.parametrize("n,r", [(5, 0), (5, 6), (5, -1)])
     def test_rank_out_of_range(self, n, r):
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(DomainError, match=rf"rank must lie in 1\.\.{n}, got {r}"):
             bootstrap_weights(n, r)
 
     def test_cache_is_transparent(self):
@@ -113,7 +113,7 @@ class TestWeightWindow:
         data = np.sort(np.random.default_rng(n).standard_normal(n))
         r = quantile_rank(n, p)
         expected = float(np.dot((data - data[r - 1]) ** 2, dense_weights(n, r)))
-        value = bootstrap_variance(SortedSample(data), p)
+        value = bootstrap_variance(data, p)
         assert value == pytest.approx(expected, rel=1e-13)
 
     def test_window_is_narrow(self):
@@ -143,28 +143,28 @@ class TestWeightWindow:
 
 class TestBootstrapVariance:
     def test_two_point_example(self):
-        estimate = bootstrap_variance(SortedSample([0.0, 1.0]), 0.5)
+        estimate = bootstrap_variance([0.0, 1.0], 0.5)
         assert estimate == pytest.approx(0.25, abs=1e-12)
 
     def test_constant_sample_is_zero(self):
-        estimate = bootstrap_variance(SortedSample([3.0] * 25), 0.2)
+        estimate = bootstrap_variance([3.0] * 25, 0.2)
         assert estimate == 0.0
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
-            bootstrap_variance(SortedSample(np.arange(10.0)), 0.05)
+            bootstrap_variance(np.arange(10.0), 0.05)
 
     def test_non_negative_on_random_samples(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             data = np.sort(rng.normal(size=rng.integers(5, 200)))
-            value = bootstrap_variance(SortedSample(data), 0.3)
+            value = bootstrap_variance(data, 0.3)
             assert value >= 0.0
 
     def test_matches_direct_weighted_moment(self):
         rng = np.random.default_rng(3)
         data = np.sort(rng.standard_exponential(40))
-        estimate = bootstrap_variance(SortedSample(data), 0.25)
+        estimate = bootstrap_variance(data, 0.25)
         w = quadrature_weights(40, 10)
         expected = float(np.dot((data - data[9]) ** 2, w))
         assert estimate == pytest.approx(expected, rel=1e-9)
@@ -178,7 +178,7 @@ class TestBootstrapVariance:
         values = []
         for trial in range(60):
             sample = model.sample(n, RngStream(2024, (trial,)))
-            values.append(bootstrap_variance(sort_ascending(sample), p))
+            values.append(bootstrap_variance(sample, p))
         med = float(np.median(values))
         assert abs(med - target) / target < 0.25
 
@@ -193,20 +193,30 @@ class TestBootstrapVariance:
         moderate = np.concatenate([low, np.full(n - 57, 1e3)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = bootstrap_variance(SortedSample(huge), p)
+            value = bootstrap_variance(huge, p)
         assert math.isfinite(value)
-        assert value == bootstrap_variance(SortedSample(moderate), p)
+        assert value == bootstrap_variance(moderate, p)
 
     def test_overflow_in_weighted_cells_raises(self):
-        data = SortedSample([-1e200] + [1e200] * 99)
+        data = [-1e200] + [1e200] * 99
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="not finite"):
                 bootstrap_variance(data, 0.01)
 
     @pytest.mark.parametrize("n,p", [(100, 0.01), (1000, 0.01), (9973, 0.001), (500, 0.3)])
+    def test_any_order_gives_the_bits_of_sorted_input(self, n, p):
+        data = np.random.default_rng(n).standard_normal(n)
+        ordered = np.sort(data)
+        r = quantile_rank(n, p)
+        assert sample_quantile(data, p) == ordered[r - 1]
+        assert sample_quantile(data, p) == sample_quantile(ordered, p)
+        assert bootstrap_variance(data, p) == bootstrap_variance(ordered, p)
+        assert bootstrap_variance(data, p) == tail_variance(ordered, bootstrap_weights(n, r))
+
+    @pytest.mark.parametrize("n,p", [(100, 0.01), (1000, 0.01), (9973, 0.001), (500, 0.3)])
     def test_tail_prefix_gives_the_full_sample_variance(self, n, p):
         data = np.sort(np.random.default_rng(n).standard_normal(n))
         weights = bootstrap_weights(n, quantile_rank(n, p))
-        full = bootstrap_variance(SortedSample(data), p)
+        full = bootstrap_variance(data, p)
         assert tail_variance(data[: weights.hi], weights) == full

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from tailquant.errors import DomainError, InsufficientSamples
 from tailquant.estimators import (
-    QuantileEstimate,
-    Sample,
-    SortedSample,
     check_p,
     min_sample_size,
+    observations,
     quantile_rank,
     sample_quantile,
-    sort_ascending,
+    smallest,
 )
 
 finite_floats = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False)
@@ -33,28 +31,27 @@ class TestProbabilityLevel:
 
 class TestSample:
     def test_rejects_empty(self):
-        with pytest.raises(DomainError):
-            Sample([])
+        with pytest.raises(DomainError, match="a sample needs at least one observation"):
+            observations([])
 
     @pytest.mark.parametrize("bad", [[1.0, math.nan], [math.inf], [1.0, -math.inf, 2.0]])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(DomainError):
-            Sample(bad)
+        with pytest.raises(DomainError, match="observations must all be finite"):
+            observations(bad)
 
     def test_rejects_matrix(self):
-        with pytest.raises(DomainError):
-            Sample([[1.0, 2.0], [3.0, 4.0]])
-
-    def test_values_are_immutable(self):
-        sample = Sample([3.0, 1.0])
-        with pytest.raises(ValueError):
-            sample.values[0] = 99.0
+        with pytest.raises(DomainError, match="observations must be one-dimensional"):
+            observations([[1.0, 2.0], [3.0, 4.0]])
 
     def test_n(self):
-        assert Sample([1.0, 2.0, 3.0]).n == 3
+        values = observations([3, 1, 2])
+        assert values.dtype == np.float64
+        assert values.tolist() == [3.0, 1.0, 2.0]
 
 
 class TestSortAscending:
+    """Ascending order statistics, as `smallest` returns them."""
+
     @pytest.mark.parametrize(
         "data,expected",
         [
@@ -64,48 +61,36 @@ class TestSortAscending:
         ],
     )
     def test_examples(self, data, expected):
-        assert sort_ascending(Sample(data)).values.tolist() == expected
+        assert smallest(observations(data), len(data)).tolist() == expected
 
-    def test_sorted_sample_rejects_unsorted(self):
-        with pytest.raises(DomainError):
-            SortedSample([2.0, 1.0])
-
-    @given(st.lists(finite_floats, min_size=1, max_size=60))
-    def test_is_permutation(self, data):
-        ordered = sort_ascending(Sample(data))
-        assert sorted(data) == ordered.values.tolist()
+    @given(st.lists(finite_floats, min_size=1, max_size=60), st.integers(min_value=1, max_value=60))
+    def test_is_permutation(self, data, k):
+        k = min(k, len(data))
+        assert smallest(observations(data), k).tolist() == sorted(data)[:k]
 
 
 class TestSampleQuantile:
     def test_hundred_observations_p_point_two(self):
         rng = np.random.default_rng(0)
         data = rng.permutation(np.arange(1.0, 101.0))
-        estimate = sample_quantile(Sample(data), 0.2)
-        assert estimate.rank == 20
-        assert estimate.value == 20.0
-        assert estimate.n == 100
+        assert sample_quantile(data, 0.2) == 20.0
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples) as exc:
-            sample_quantile(Sample(np.arange(10.0)), 0.05)
+            sample_quantile(np.arange(10.0), 0.05)
         assert exc.value.needed == 20
         assert "insufficient samples: need n >= 20" in str(exc.value)
 
     def test_direct_indexing_example(self):
         data = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0]
-        estimate = sample_quantile(SortedSample(data), 0.31)
-        assert estimate.rank == 3
-        assert estimate.value == 30.0
+        assert sample_quantile(data, 0.31) == 30.0
 
     def test_p_near_one_returns_near_maximum(self):
         # n * p stays strictly below n for every float p < 1, so the largest
-        # reachable rank from the floor rule is n - 1; rank n itself is still
-        # a valid order statistic with no special casing.
+        # reachable rank from the floor rule is n - 1.
         p = 1.0 - 2.0**-53
-        ordered = SortedSample(np.arange(1.0, 17.0))
-        estimate = sample_quantile(ordered, p)
-        assert estimate.rank == 15
-        assert QuantileEstimate(value=16.0, rank=16, p=p, n=16).rank == 16
+        assert quantile_rank(16, p) == 15
+        assert sample_quantile(np.arange(16.0, 0.0, -1.0), p) == 15.0
 
     def test_rank_law_grid(self):
         levels = [0.01, 0.05, 0.1, 0.25, 0.31, 0.5, 0.75, 0.9, 0.97]
@@ -115,15 +100,15 @@ class TestSampleQuantile:
                 r = math.floor(n * p)
                 if r < 1:
                     with pytest.raises(InsufficientSamples):
-                        sample_quantile(SortedSample(values), p)
+                        sample_quantile(values, p)
                 else:
-                    assert sample_quantile(SortedSample(values), p).rank == r
+                    assert sample_quantile(values[::-1], p) == values[r - 1]
 
     def test_monotone_in_p(self):
         rng = np.random.default_rng(5)
-        ordered = sort_ascending(Sample(rng.normal(size=200)))
+        data = rng.normal(size=200)
         levels = np.linspace(0.01, 0.99, 60)
-        values = [sample_quantile(ordered, float(p)).value for p in levels]
+        values = [sample_quantile(data, float(p)) for p in levels]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     @given(
@@ -134,15 +119,10 @@ class TestSampleQuantile:
     @settings(max_examples=60)
     def test_permutation_invariance(self, data, p, seed):
         shuffled = np.random.default_rng(seed).permutation(np.asarray(data))
-        original = sample_quantile(Sample(data), p)
-        permuted = sample_quantile(Sample(shuffled), p)
-        assert original.value == permuted.value
-        assert original.rank == permuted.rank
+        assert sample_quantile(data, p) == sample_quantile(shuffled, p)
 
     def test_duplicates_allowed(self):
-        estimate = sample_quantile(Sample([2.0, 2.0, 2.0, 2.0]), 0.5)
-        assert estimate.value == 2.0
-        assert estimate.rank == 2
+        assert sample_quantile([2.0, 2.0, 2.0, 2.0], 0.5) == 2.0
 
 
 class TestRankHelpers:
@@ -160,9 +140,3 @@ class TestRankHelpers:
         # 10 * 0.3 rounds up to exactly 3.0; the rule honors the represented product
         assert quantile_rank(10, 0.3) == 3
         assert quantile_rank(10, 0.31) == 3
-
-    def test_quantile_estimate_validates_rank(self):
-        with pytest.raises(DomainError):
-            QuantileEstimate(value=1.0, rank=0, p=0.2, n=10)
-        with pytest.raises(DomainError):
-            QuantileEstimate(value=1.0, rank=11, p=0.2, n=10)

@@ -1,12 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from tailquant.bayes import PriorBelief, posterior
-from tailquant.bootstrap import bootstrap_variance
+from tailquant.bootstrap import bootstrap_weights, tail_variance
 from tailquant.distributions import asymptotic_variance, normal_draw, rate_for_quantile
 from tailquant.errors import ConfigError, DomainError, EmptyInput
-from tailquant.estimators import min_sample_size, sample_quantile, sort_ascending
+from tailquant.estimators import min_sample_size, quantile_rank
 from tailquant.experiment import (
     ALL_METHODS,
     CSV_HEADER,
@@ -32,7 +33,7 @@ FAST = dict(
 
 
 def reference_experiment(config: ExperimentConfig) -> RmseTable:
-    """The full-sample trial loop: draw all n, sort, validate, then estimate."""
+    """The full-sample trial loop: draw and sort all n, then estimate from the whole sorted array."""
     rows = []
     for p, n, s2 in config.cells():
         prior = PriorBelief(config.prior_mean, s2)
@@ -41,17 +42,18 @@ def reference_experiment(config: ExperimentConfig) -> RmseTable:
             stream = trial_stream(config.seed, p, n, s2, t)
             x_p = normal_draw(prior, stream.child(0))
             model = rate_for_quantile(x_p, p)
-            sorted_sample = sort_ascending(model.sample(n, stream.child(1)))
-            estimate = sample_quantile(sorted_sample, p)
+            ordered = np.sort(model.sample(n, stream.child(1)))
+            r = quantile_rank(n, p)
+            estimate = float(ordered[r - 1])
             for m in config.methods:
                 if m is Method.SAMPLE:
-                    value = estimate.value
+                    value = estimate
                 elif m is Method.BAYES_KNOWN:
                     sn2 = asymptotic_variance(p, n, model.pdf(x_p))
-                    value = posterior(prior, estimate.value, sn2).mean
+                    value = posterior(prior, estimate, sn2).mean
                 else:
-                    sn2 = bootstrap_variance(sorted_sample, p)
-                    value = posterior(prior, estimate.value, sn2).mean
+                    sn2 = tail_variance(ordered, bootstrap_weights(n, r))
+                    value = posterior(prior, estimate, sn2).mean
                 squared[m].append((value - x_p) ** 2)
         rows.extend(
             RmseRow(p, n, s2, m, rmse(squared[m]), config.trials, config.seed)
@@ -113,6 +115,12 @@ class TestExperimentConfig:
     def test_rejects_bad_variance(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(prior_variances=(1.0, 0.0))
+
+    @pytest.mark.parametrize("size", [100.7, math.nan, 0])
+    def test_rejects_non_integral_size(self, size):
+        # a float size used to be truncated to int, and NaN slipped past n < 1
+        with pytest.raises(ConfigError, match=rf"sample_sizes must be integers >= 1, got {size!r}"):
+            ExperimentConfig(p_values=(0.1,), sample_sizes=(size,), trials=2)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ConfigError):

@@ -11,17 +11,25 @@ import pytest
 from tailquant.bayes import PriorBelief, posterior
 from tailquant.distributions import LogExponential, RngStream
 from tailquant.errors import TailquantError
-from tailquant.estimators import Sample, quantile_rank, sample_quantile
+from tailquant.estimators import quantile_rank, sample_quantile
 from tailquant.experiment import ExperimentConfig, run_experiment
 from tailquant.special_functions import regularized_incomplete_beta
 
 SMALL = ExperimentConfig(p_values=(0.1,), sample_sizes=(10,), prior_variances=(1.0,), trials=2)
+
+
+def config(**lists) -> ExperimentConfig:
+    return ExperimentConfig(**{"p_values": (0.1,), "sample_sizes": (100,), "trials": 2, **lists})
 
 # id -> (call on the scalar, the Python scalar, its numpy twin, error text for a non-number)
 SITES = {
     "posterior-variance": (
         lambda v: posterior(PriorBelief(0.0, 1.0), 1.0, v).mean, 0.5, np.float32(0.5),
         "sample variance must be finite and >= 0, got {!r}",
+    ),
+    "posterior-xhat": (
+        lambda v: posterior(PriorBelief(0.0, 1.0), v, 0.5).mean, 0.5, np.float32(0.5),
+        "sample quantile must be finite, got {!r}",
     ),
     "prior-mean": (
         lambda v: PriorBelief(v, 1.0).mean, 0.5, np.float32(0.5),
@@ -32,7 +40,7 @@ SITES = {
         "prior variance must be finite and > 0, got {!r}",
     ),
     "sample_quantile-p": (
-        lambda v: sample_quantile(Sample(np.arange(1.0, 101.0)), v).p, 0.25, np.float32(0.25),
+        lambda v: sample_quantile(np.arange(1.0, 101.0), v), 0.25, np.float32(0.25),
         "probability level must satisfy 0 < p < 1, got {!r}",
     ),
     "quantile_rank-p": (
@@ -44,7 +52,7 @@ SITES = {
         "rate must be finite and > 0, got {!r}",
     ),
     "sample-n": (
-        lambda v: LogExponential(1.0).sample(v, RngStream(1)).values.tolist(), 5, np.int64(5),
+        lambda v: LogExponential(1.0).sample(v, RngStream(1)).tolist(), 5, np.int64(5),
         "sample size must be an integer >= 1, got {!r}",
     ),
     "lowest-k": (
@@ -70,6 +78,18 @@ SITES = {
     "config-seed": (
         lambda v: ExperimentConfig(seed=v).seed, 5, np.int64(5),
         "seed must be an unsigned 64-bit integer, got {!r}",
+    ),
+    "config-sample_sizes": (
+        lambda v: config(sample_sizes=(v,)).sample_sizes[0], 100, np.int64(100),
+        "sample_sizes must be integers >= 1, got {!r}",
+    ),
+    "config-p_values": (
+        lambda v: config(p_values=(v,)).p_values[0], 0.25, np.float32(0.25),
+        "p_values must lie strictly in (0, 1), got {!r}",
+    ),
+    "config-prior_variances": (
+        lambda v: config(prior_variances=(v,)).prior_variances[0], 0.5, np.float32(0.5),
+        "prior_variances must be finite and > 0, got {!r}",
     ),
     "workers": (
         lambda v: run_experiment(SMALL, workers=v).to_csv(), 2, np.int64(2),

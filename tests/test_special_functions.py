@@ -8,7 +8,6 @@ import tailquant.special_functions as sf
 from tailquant.errors import DomainError, NoConvergence
 from tailquant.special_functions import (
     log_beta,
-    log_binomial,
     log_gamma,
     normal_quantile,
     regularized_incomplete_beta,
@@ -50,37 +49,6 @@ class TestLogGamma:
             lhs = log_gamma(x + 1.0)
             rhs = log_gamma(x) + math.log(x)
             assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
-
-
-class TestLogBinomial:
-    @pytest.mark.parametrize(
-        "n,r,expected",
-        [
-            (5, 2, math.log(10.0)),
-            (7, 0, 0.0),
-            (7, 7, 0.0),
-            (100, 50, 66.78384165201743),  # log of exact integer C(100,50)
-        ],
-    )
-    def test_known_values(self, n, r, expected):
-        assert log_binomial(n, r) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-    def test_exact_integer_oracle_small_n(self):
-        for n in range(61):
-            for r in range(n + 1):
-                expected = math.log(math.comb(n, r))
-                assert log_binomial(n, r) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-    def test_exact_integer_oracle_large_n(self):
-        # math.log accepts arbitrarily large exact integers
-        for n, r in [(10**6, 1), (10**6, 2), (10**6, 1000), (12345, 6172)]:
-            expected = math.log(math.comb(n, r))
-            assert log_binomial(n, r) == pytest.approx(expected, rel=1e-10)
-
-    @pytest.mark.parametrize("n,r", [(5, -1), (5, 6), (-1, 0)])
-    def test_domain(self, n, r):
-        with pytest.raises(DomainError):
-            log_binomial(n, r)
 
 
 class TestBetaParams:
