@@ -19,8 +19,10 @@ Starting at CDF index r, the walk goes down until I_{lo/n} < _MASS_FLOOR
 (or lo = 0) and up until 1 - I_{hi/n} < _MASS_FLOOR (or hi = n).  Every
 cell outside (lo, hi] then has an increment below the floor, which the
 weights zero anyway, so the window holds exactly the weights a pass over all
-n+1 CDF values would give, at a cost of hi - lo + 1 evaluations instead of
-n + 1.  The variance needs only x_(lo+1..hi) and x_(r), so `tail_variance`
+n+1 CDF values would give.  The CDF values come from one array evaluation
+of a block of cells around r, grown until the walk stops inside it, so the
+cost is a few times hi - lo array cells instead of n + 1 scalar calls.
+The variance needs only x_(lo+1..hi) and x_(r), so `tail_variance`
 takes any ascending array that holds at least x_(1..hi): a simulation trial
 draws only those lowest order statistics, and `bootstrap_variance` passes a
 whole sorted sample.
@@ -37,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .estimators import observations, quantile_rank, smallest
-from .special_functions import regularized_incomplete_beta
+from .errors import DomainError, integer
+from .estimators import check_size, observations, quantile_rank, smallest
+from .special_functions import incomplete_beta_cells, no_convergence
 
 __all__ = [
     "BootstrapWeights",
@@ -93,23 +95,47 @@ class BootstrapWeights:
         return w
 
 
+def _block_half_width(r: int) -> int:
+    """Cells on each side of r in the first block; the window fits at every (n, r) tried."""
+    return 9 * math.isqrt(r) + 40
+
+
 @functools.lru_cache(maxsize=16)
 def _window_weights(n: int, r: int) -> BootstrapWeights:
-    def cdf(i: int) -> float:
-        return regularized_incomplete_beta(i / n, r, n - r + 1)
+    a, b = float(r), float(n - r + 1)
 
-    lo = hi = r
-    lower = [cdf(r)]  # I_{i/n} for i = r, r-1, ..., lo
-    while lo > 0 and lower[-1] >= _MASS_FLOOR:
-        lo -= 1
-        lower.append(cdf(lo))
-    upper = []  # I_{i/n} for i = r+1, ..., hi
-    top = lower[0]
-    while hi < n and 1.0 - top >= _MASS_FLOOR:
-        hi += 1
-        top = cdf(hi)
-        upper.append(top)
-    window = np.diff(np.array(lower[::-1] + upper))
+    def cdf(first: int, last: int) -> np.ndarray:
+        """I_{i/n} for i = first..last, NaN where the fraction failed."""
+        return incomplete_beta_cells(np.arange(first, last + 1) / n, a, b)
+
+    # The CDF is evaluated on a block of cells, values[i - base] for i in
+    # base..top, which a side the walk runs off doubles, and the walk then
+    # reads it in its order: a failed cell stops it and raises, and a cell
+    # it does not reach cannot raise.
+    step = _block_half_width(r)
+    base, top = max(0, r - step), min(n, r + step)
+    values = cdf(base, top)
+    while True:  # down from r: lo is the first cell with I < floor, or 0
+        down = values[r - base :: -1]
+        stops = np.flatnonzero((down < _MASS_FLOOR) | np.isnan(down))
+        if stops.size:
+            break
+        grown = max(0, 2 * base - r)
+        values, base = np.concatenate([cdf(grown, base - 1), values]), grown
+    lo = r - int(stops[0])
+    if math.isnan(values[lo - base]):
+        raise no_convergence(lo / n, a, b)
+    while True:  # up from r: hi is the first cell with 1 - I < floor, or n
+        up = values[r - base :]
+        stops = np.flatnonzero((1.0 - up < _MASS_FLOOR) | np.isnan(up))
+        if stops.size:
+            break
+        grown = min(n, 2 * top - r)
+        values, top = np.concatenate([values, cdf(top + 1, grown)]), grown
+    hi = r + int(stops[0])
+    if math.isnan(values[hi - base]):
+        raise no_convergence(hi / n, a, b)
+    window = np.diff(values[lo - base : hi - base + 1])
     window[window < _MASS_FLOOR] = 0.0
     window.flags.writeable = False
     return BootstrapWeights(n=n, r=r, lo=lo, window=window)
@@ -117,9 +143,12 @@ def _window_weights(n: int, r: int) -> BootstrapWeights:
 
 def bootstrap_weights(n: int, r: int) -> BootstrapWeights:
     """Exact infinite-resample weights w_1..w_n for the rank-r order statistic."""
-    if not 1 <= r <= n:
-        raise DomainError(f"rank must lie in 1..{n}, got {r}")
-    return _window_weights(n, r)
+    n, rank = check_size(n), integer(r)
+    if isinstance(rank, float):
+        raise DomainError(f"rank must be an integer, got {r!r}")
+    if not 1 <= rank <= n:
+        raise DomainError(f"rank must lie in 1..{n}, got {r!r}")
+    return _window_weights(n, rank)
 
 
 def bootstrap_variance(values, p: float) -> float:

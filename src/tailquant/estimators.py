@@ -16,12 +16,13 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InsufficientSamples, real
+from .errors import DomainError, InsufficientSamples, integer, real
 
 __all__ = [
     "observations",
     "smallest",
     "check_p",
+    "check_size",
     "sample_quantile",
     "quantile_rank",
     "min_sample_size",
@@ -53,10 +54,19 @@ def smallest(values: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.partition(values, k - 1)[:k])
 
 
+def check_size(n: int) -> int:
+    """The sample size n as an int; raises unless it is an integer >= 1."""
+    size = integer(n)
+    if isinstance(size, float):
+        raise DomainError(f"sample size must be an integer, got {n!r}")
+    if size < 1:
+        raise DomainError(f"sample size must be >= 1, got {n!r}")
+    return size
+
+
 def quantile_rank(n: int, p: float) -> int:
     """One-based rank floor(n*p) of the sample quantile; raises when it is zero."""
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n!r}")
+    n = check_size(n)
     p = check_p(p)
     r = math.floor(n * p)
     if r < 1:

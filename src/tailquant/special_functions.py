@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError, NoConvergence, real
 
 __all__ = [
     "log_gamma",
     "log_beta",
     "regularized_incomplete_beta",
+    "incomplete_beta_cells",
+    "no_convergence",
     "normal_quantile",
     "CF_TOL",
     "CF_MAX_ITER",
@@ -77,10 +81,9 @@ def log_beta(a: float, b: float) -> float:
 def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b), i.e. the beta-distribution CDF.
 
-    Evaluated by modified-Lentz continued fraction.  The fraction converges
-    fast only for x below the crossover (a+1)/(a+b+2); beyond it the symmetry
-    I_x(a,b) = 1 - I_{1-x}(b,a) is applied first.  Raises NoConvergence if
-    the fraction has not settled to CF_TOL within CF_MAX_ITER iterations.
+    One point of `incomplete_beta_cells`.  Raises NoConvergence if the
+    continued fraction has not settled to CF_TOL within CF_MAX_ITER
+    iterations.
     """
     for name, shape in (("a", a), ("b", b)):
         if not (math.isfinite(real(shape)) and shape > 0.0):
@@ -88,61 +91,107 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     a, b = float(a), float(b)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"regularized_incomplete_beta requires x in [0, 1], got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-
-    # log of x^a (1-x)^b / B(a, b), the prefactor common to both branches
-    log_pre = a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
-    direct = x < (a + 1.0) / (a + b + 2.0)
-    if log_pre < _LOG_UNDERFLOW:
-        return 0.0 if direct else 1.0
-    if direct:
-        return math.exp(log_pre) * _beta_cf(a, b, x) / a
-    return 1.0 - math.exp(log_pre) * _beta_cf(b, a, 1.0 - x) / b
+    value = float(incomplete_beta_cells(np.array([x], dtype=np.float64), a, b)[0])
+    if math.isnan(value):
+        raise no_convergence(float(x), a, b)
+    return value
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, modified Lentz scheme."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, CF_MAX_ITER + 1):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < CF_TOL:
-            return h
-    raise NoConvergence(
+def incomplete_beta_cells(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """I_x(a, b) at each of the trusted points x in [0, 1], NaN where the fraction failed.
+
+    The fraction converges fast only for x below the crossover
+    (a+1)/(a+b+2); beyond it the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) is
+    applied first.  The prefactor x^a (1-x)^b / B(a, b) is taken per point
+    with `math`, and the fractions of all points run as one array recurrence,
+    so every value has the bits of a one-point evaluation.  Nothing raises
+    for a point whose fraction did not converge: the caller decides which
+    points it needs, and `no_convergence` gives the error for one of them.
+    """
+    values = np.empty(x.size)
+    log_beta_ab = log_beta(a, b)
+    crossover = (a + 1.0) / (a + b + 2.0)
+    cells, scales = [], []
+    for k, xk in enumerate(x.tolist()):
+        if xk == 0.0 or xk == 1.0:
+            values[k] = 0.0 if xk == 0.0 else 1.0
+            continue
+        # log of x^a (1-x)^b / B(a, b), the prefactor common to both branches
+        log_pre = a * math.log(xk) + b * math.log1p(-xk) - log_beta_ab
+        if log_pre < _LOG_UNDERFLOW:
+            values[k] = 0.0 if xk < crossover else 1.0
+            continue
+        cells.append(k)
+        scales.append(math.exp(log_pre))
+    if cells:
+        point = x[cells]
+        direct = point < crossover
+        first = np.where(direct, a, b)
+        fraction = _beta_cf(first, np.where(direct, b, a), np.where(direct, point, 1.0 - point))
+        part = np.array(scales) * fraction / first
+        values[cells] = np.where(direct, part, 1.0 - part)
+    return values
+
+
+def no_convergence(x: float, a: float, b: float) -> NoConvergence:
+    """The error for point x of `incomplete_beta_cells`, naming its fraction's arguments."""
+    if not x < (a + 1.0) / (a + b + 2.0):
+        a, b, x = b, a, 1.0 - x
+    return NoConvergence(
         f"incomplete beta continued fraction did not converge within "
         f"{CF_MAX_ITER} iterations (a={a}, b={b}, x={x})"
     )
+
+
+def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Continued fraction for the incomplete beta, modified Lentz scheme, one lane per point.
+
+    Each lane takes the one-point scheme's operations in its order and stops
+    as soon as its own step has settled, so its value does not depend on
+    the other lanes.  A lane that has not settled within CF_MAX_ITER
+    iterations is NaN.  Arithmetic that overflows gives inf or NaN silently,
+    as Python floats do, and a lane that meets NaN never settles.
+    """
+    fraction = np.full(x.size, np.nan)
+    lane = np.arange(x.size)
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones(x.size)
+    d = 1.0 - qab * x / qap
+    d[np.abs(d) < _FPMIN] = _FPMIN
+    d = 1.0 / d
+    h = d
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, CF_MAX_ITER + 1):
+            m2 = 2 * m
+            # even step
+            aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+            d = 1.0 + aa * d
+            d[np.abs(d) < _FPMIN] = _FPMIN
+            c = 1.0 + aa / c
+            c[np.abs(c) < _FPMIN] = _FPMIN
+            d = 1.0 / d
+            h = h * (d * c)
+            # odd step
+            aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+            d = 1.0 + aa * d
+            d[np.abs(d) < _FPMIN] = _FPMIN
+            c = 1.0 + aa / c
+            c[np.abs(c) < _FPMIN] = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h = h * delta
+            settled = np.abs(delta - 1.0) < CF_TOL
+            if settled.any():
+                fraction[lane[settled]] = h[settled]
+                going = ~settled
+                if not going.any():
+                    break
+                lane, a, b, x, qab, qap, qam, c, d, h = (
+                    v[going] for v in (lane, a, b, x, qab, qap, qam, c, d, h)
+                )
+    return fraction
 
 
 # Wichura's PPND16 rational approximations for the standard normal quantile;

@@ -7,7 +7,9 @@ import pytest
 from scipy import integrate
 from scipy.special import betainc, betaincc
 
+import tailquant.bootstrap as bootstrap
 import tailquant.special_functions as sf
+from scalar_reference import scalar_incomplete_beta, walk_window
 from tailquant.bootstrap import (
     _MASS_FLOOR,
     _window_weights,
@@ -36,9 +38,9 @@ def quadrature_weights(n: int, r: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def dense_weights(n: int, r: int) -> np.ndarray:
-    """Reference: all n+1 CDF values, differenced, increments below the floor zeroed."""
+    """Reference: all n+1 scalar CDF values, differenced, increments below the floor zeroed."""
     a, b = float(r), float(n - r + 1)
-    cdf = np.array([sf.regularized_incomplete_beta(i / n, a, b) for i in range(n + 1)])
+    cdf = np.array([scalar_incomplete_beta(i / n, a, b) for i in range(n + 1)])
     w = np.diff(cdf)
     w[w < _MASS_FLOOR] = 0.0
     return w
@@ -107,6 +109,28 @@ class TestWeightWindow:
         assert weights.w.tobytes() == dense.tobytes()
         assert weights.window.tobytes() == dense[weights.lo : weights.hi].tobytes()
 
+    @pytest.mark.parametrize("n,r", window_grid() + [(10**5, 1000), (10**6, 5 * 10**5), (10**7, 10**5)])
+    def test_bit_identical_to_the_scalar_walk(self, n, r):
+        lo, cdf = walk_window(n, r)
+        a, b = float(r), float(n - r + 1)
+        cells = np.arange(lo, lo + cdf.size) / n
+        assert sf.incomplete_beta_cells(cells, a, b).tobytes() == cdf.tobytes()
+        expected = np.diff(cdf)
+        expected[expected < _MASS_FLOOR] = 0.0
+        weights = bootstrap_weights(n, r)
+        assert (weights.lo, weights.hi) == (lo, lo + expected.size)
+        assert weights.window.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n,r", [(1000, 1), (9973, 99), (30_000, 15_000), (1000, 1000)])
+    def test_a_block_grown_from_one_cell_gives_the_same_window(self, monkeypatch, n, r):
+        expected = bootstrap_weights(n, r).window.tobytes()
+        monkeypatch.setattr(bootstrap, "_block_half_width", lambda r: 1)
+        _window_weights.cache_clear()
+        try:
+            assert bootstrap_weights(n, r).window.tobytes() == expected
+        finally:
+            _window_weights.cache_clear()
+
     @pytest.mark.parametrize("n", [100, 1000, 9973, 30_000])
     @pytest.mark.parametrize("p", [0.01, 0.5, 0.9])
     def test_variance_matches_dense_dot(self, n, p):
@@ -139,6 +163,49 @@ class TestWeightWindow:
         assert betainc(a, b, weights.lo / n) < _MASS_FLOOR
         # the walk reads 1 - I from a double near 1, which resolves it to eps
         assert betaincc(a, b, weights.hi / n) < _MASS_FLOOR + np.finfo(float).eps
+
+
+class TestWindowFailures:
+    """A cell whose fraction fails raises only where the cell-by-cell walk would read it."""
+
+    N, R = 9973, 99  # window cells 39..199, first block 0..220
+
+    def weights_failing_at(self, monkeypatch, cells):
+        evaluate = bootstrap.incomplete_beta_cells
+
+        def flaky(x, a, b):
+            bad = np.isin(np.rint(x * self.N).astype(int), list(cells))
+            return np.where(bad, np.nan, evaluate(x, a, b))
+
+        monkeypatch.setattr(bootstrap, "incomplete_beta_cells", flaky)
+        _window_weights.cache_clear()
+        try:
+            return bootstrap_weights(self.N, self.R)
+        finally:
+            _window_weights.cache_clear()
+
+    def test_failures_outside_the_window_never_raise(self, monkeypatch):
+        weights = bootstrap_weights(self.N, self.R)
+        assert (weights.lo, weights.hi) == (39, 199)
+        outside = set(range(0, 39)) | set(range(200, 400))
+        assert self.weights_failing_at(monkeypatch, outside).window.tobytes() == weights.window.tobytes()
+
+    @pytest.mark.parametrize(
+        "cells,named",
+        [
+            ({40, 101}, "(a=99.0, b=9875.0, x={})".format(40 / 9973)),  # the walk goes down first
+            ({39, 199}, "(a=99.0, b=9875.0, x={})".format(39 / 9973)),
+            ({101, 150}, "(a=9875.0, b=99.0, x={})".format(1.0 - 101 / 9973)),
+            ({199}, "(a=9875.0, b=99.0, x={})".format(1.0 - 199 / 9973)),
+            ({99}, "(a=99.0, b=9875.0, x={})".format(99 / 9973)),
+        ],
+    )
+    def test_the_first_failure_in_walk_order_is_raised(self, monkeypatch, cells, named):
+        with pytest.raises(NoConvergence) as exc:
+            self.weights_failing_at(monkeypatch, cells)
+        assert str(exc.value) == (
+            f"incomplete beta continued fraction did not converge within {sf.CF_MAX_ITER} iterations {named}"
+        )
 
 
 class TestBootstrapVariance:

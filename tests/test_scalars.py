@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tailquant.bayes import PriorBelief, posterior
+from tailquant.bootstrap import bootstrap_weights
 from tailquant.distributions import LogExponential, RngStream
 from tailquant.errors import TailquantError
 from tailquant.estimators import quantile_rank, sample_quantile
@@ -42,6 +43,18 @@ SITES = {
     "sample_quantile-p": (
         lambda v: sample_quantile(np.arange(1.0, 101.0), v), 0.25, np.float32(0.25),
         "probability level must satisfy 0 < p < 1, got {!r}",
+    ),
+    "quantile_rank-n": (
+        lambda v: quantile_rank(v, 0.25), 100, np.int64(100),
+        "sample size must be an integer, got {!r}",
+    ),
+    "bootstrap_weights-n": (
+        lambda v: bootstrap_weights(v, 5).window.tolist(), 100, np.int64(100),
+        "sample size must be an integer, got {!r}",
+    ),
+    "bootstrap_weights-r": (
+        lambda v: bootstrap_weights(100, v).window.tolist(), 5, np.int64(5),
+        "rank must be an integer, got {!r}",
     ),
     "quantile_rank-p": (
         lambda v: quantile_rank(100, v), 0.25, np.float32(0.25),
@@ -114,3 +127,13 @@ def test_non_number_keeps_the_error_text(site, bad):
     with pytest.raises(TailquantError) as exc:
         call(bad)
     assert str(exc.value) == message.format(bad)
+
+
+@pytest.mark.parametrize(
+    "site,value", [("quantile_rank-n", 100.7), ("bootstrap_weights-n", 100.0), ("bootstrap_weights-r", 5.5)]
+)
+def test_a_float_where_an_integer_is_read_keeps_the_error_text(site, value):
+    call, _, _, message = SITES[site]
+    with pytest.raises(TailquantError) as exc:
+        call(value)
+    assert str(exc.value) == message.format(value)

@@ -5,6 +5,7 @@ import pytest
 from scipy import special as sps
 
 import tailquant.special_functions as sf
+from scalar_reference import scalar_incomplete_beta
 from tailquant.errors import DomainError, NoConvergence
 from tailquant.special_functions import (
     log_beta,
@@ -126,6 +127,62 @@ class TestRegularizedIncompleteBeta:
         monkeypatch.setattr(sf, "CF_MAX_ITER", 1)
         with pytest.raises(NoConvergence):
             regularized_incomplete_beta(0.4, 20.0, 30.0)
+
+    def test_negative_zero_gives_positive_zero(self):
+        assert math.copysign(1.0, regularized_incomplete_beta(-0.0, 2.0, 3.0)) == 1.0
+
+
+def random_cells(seed: int, count: int) -> list[tuple[float, float, float]]:
+    """(x, a, b) with shapes from 0.5 to 1e5 and x anywhere in [0, 1], endpoints included."""
+    rng = np.random.default_rng(seed)
+    cells = [(0.0, 2.0, 3.0), (1.0, 2.0, 3.0), (0.0005, 1000.0, 99001.0), (0.9, 1000.0, 99001.0)]
+    for _ in range(count):
+        a = float(10.0 ** rng.uniform(-0.3, 5.0))
+        b = float(10.0 ** rng.uniform(-0.3, 5.0))
+        # near the mean, where the fraction needs the most steps, or anywhere
+        mean = a / (a + b)
+        x = float(np.clip(mean * (1.0 + rng.normal(0.0, 0.05)), 0.0, 1.0)) if rng.random() < 0.5 else float(rng.random())
+        cells.append((x, a, b))
+    return cells
+
+
+class TestArrayKernel:
+    """`incomplete_beta_cells` runs one array fraction with the bits of the scalar one."""
+
+    def test_one_cell_has_the_bits_of_the_scalar_reference(self):
+        for x, a, b in random_cells(5, 150):
+            assert regularized_incomplete_beta(x, a, b) == scalar_incomplete_beta(x, a, b)
+
+    @pytest.mark.parametrize("a,b", [(20.0, 30.0), (630.0, 62371.0), (0.7, 2.5), (1500.0, 1501.0)])
+    def test_a_block_of_cells_has_the_bits_of_the_scalar_reference(self, a, b):
+        x = np.linspace(0.0, 1.0, 2001)
+        expected = np.array([scalar_incomplete_beta(float(xi), a, b) for xi in x])
+        assert sf.incomplete_beta_cells(x, a, b).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cap", [1, 3, 8, 20])
+    def test_each_cell_stops_on_its_own(self, monkeypatch, cap):
+        # at a low cap, cells near the mean fail and the others keep the bits
+        # of a one-point evaluation
+        monkeypatch.setattr(sf, "CF_MAX_ITER", cap)
+        a, b = 40.0, 60.0
+        x = np.linspace(0.0, 1.0, 401)
+        for xi, value in zip(x.tolist(), sf.incomplete_beta_cells(x, a, b).tolist()):
+            try:
+                expected = scalar_incomplete_beta(xi, a, b)
+            except NoConvergence as exc:
+                assert math.isnan(value)
+                assert str(sf.no_convergence(xi, a, b)) == str(exc)
+            else:
+                assert value == expected
+
+    def test_the_error_names_the_fraction_of_the_complement_branch(self, monkeypatch):
+        monkeypatch.setattr(sf, "CF_MAX_ITER", 2)
+        with pytest.raises(NoConvergence) as exc:
+            regularized_incomplete_beta(0.7, 20.0, 30.0)
+        assert str(exc.value) == (
+            "incomplete beta continued fraction did not converge within 2 iterations "
+            f"(a=30.0, b=20.0, x={1.0 - 0.7})"
+        )
 
 
 class TestNormalQuantile:
