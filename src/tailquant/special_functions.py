@@ -104,7 +104,8 @@ def incomplete_beta_cells(x: np.ndarray, a: float, b: float) -> np.ndarray:
     (a+1)/(a+b+2); beyond it the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) is
     applied first.  The prefactor x^a (1-x)^b / B(a, b) is taken per point
     with `math`, and the fractions of all points run as one array recurrence,
-    so every value has the bits of a one-point evaluation.  Nothing raises
+    so every value has the bits of the scalar scheme in Python floats (kept
+    in tests/scalar_reference.py as the reference).  Nothing raises
     for a point whose fraction did not converge: the caller decides which
     points it needs, and `no_convergence` gives the error for one of them.
     """
@@ -146,7 +147,7 @@ def no_convergence(x: float, a: float, b: float) -> NoConvergence:
 def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Continued fraction for the incomplete beta, modified Lentz scheme, one lane per point.
 
-    Each lane takes the one-point scheme's operations in its order and stops
+    Each lane takes the scalar scheme's operations in its order and stops
     as soon as its own step has settled, so its value does not depend on
     the other lanes.  A lane that has not settled within CF_MAX_ITER
     iterations is NaN.  Arithmetic that overflows gives inf or NaN silently,
