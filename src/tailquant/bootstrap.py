@@ -95,11 +95,6 @@ class BootstrapWeights:
         return w
 
 
-def _block_half_width(r: int) -> int:
-    """Cells on each side of r in the first block; the window fits at every (n, r) tried."""
-    return 9 * math.isqrt(r) + 40
-
-
 @functools.lru_cache(maxsize=16)
 def _window_weights(n: int, r: int) -> BootstrapWeights:
     a, b = float(r), float(n - r + 1)
@@ -111,8 +106,13 @@ def _window_weights(n: int, r: int) -> BootstrapWeights:
     # The CDF is evaluated on a block of cells, values[i - base] for i in
     # base..top, which a side the walk runs off doubles, and the walk then
     # reads it in its order: a failed cell stops it and raises, and a cell
-    # it does not reach cannot raise.
-    step = _block_half_width(r)
+    # it does not reach cannot raise.  The first block reaches 9*isqrt(r) + 40
+    # cells either side of r.  Below r the binomial Chernoff bound
+    # exp(-t^2 / 2r) puts the CDF under 1e-17 there; on either side no
+    # window has needed more than 0.87 of it, over every r of every
+    # n <= 2000 and every (n, r) of the benchmark's estimate inputs, so the
+    # doubling is a safeguard that no input tried has reached.
+    step = 9 * math.isqrt(r) + 40
     base, top = max(0, r - step), min(n, r + step)
     values = cdf(base, top)
     while True:  # down from r: lo is the first cell with I < floor, or 0
@@ -147,7 +147,7 @@ def bootstrap_weights(n: int, r: int) -> BootstrapWeights:
     if isinstance(rank, float):
         raise DomainError(f"rank must be an integer, got {r!r}")
     if not 1 <= rank <= n:
-        raise DomainError(f"rank must lie in 1..{n}, got {r!r}")
+        raise DomainError(f"rank must lie in 1..{n}, got {r}")
     return _window_weights(n, rank)
 
 

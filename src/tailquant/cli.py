@@ -13,9 +13,6 @@ import argparse
 import dataclasses
 import re
 import sys
-import warnings
-
-import numpy as np
 
 from .bayes import PriorBelief, posterior
 from .bootstrap import bootstrap_weights, tail_variance
@@ -42,25 +39,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _read_observations(path: str) -> np.ndarray:
-    """The numbers in a UTF-8 file, one per line, with blank and ``#`` comment lines skipped.
-
-    numpy parses a file that holds one number on every line, blank lines
-    aside, exactly as `float` would.  Anything else it raises or warns on,
-    or reads as a table of another shape, goes to the line loop, which alone
-    decides the values or the error, so both paths give the same bits.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(
-                path, dtype=np.float64, delimiter=",", comments=None, ndmin=2, encoding="utf-8"
-            )
-    except (ValueError, OSError, Warning):  # the line loop re-reads the file and names the fault
-        pass
-    else:
-        if table.size and table.shape[1] == 1:
-            return table[:, 0]
+def _read_observations(path: str) -> list[float]:
     values = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -73,7 +52,7 @@ def _read_observations(path: str) -> np.ndarray:
                 raise DomainError(f"malformed input at line {lineno}: {line!r}") from None
     if not values:
         raise DomainError(f"no observations found in {path}")
-    return np.array(values)
+    return values
 
 
 def _cmd_estimate(args) -> int:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bayes import PriorBelief
 from .errors import DomainError, integer, real
-from .estimators import check_p, smallest
+from .estimators import check_p, check_size, smallest
 from .special_functions import normal_quantile
 
 __all__ = [
@@ -127,7 +127,7 @@ class LogExponential:
 
     def sample(self, n: int, rng: RngStream) -> np.ndarray:
         """n independent inverse-CDF draws, in draw order, deterministic given the stream."""
-        n = _check_size(n)
+        n = check_size(n)
         return self._from_lattice(_lattice(rng.generator(), n))
 
     def lowest(self, n: int, k: int, rng: RngStream) -> np.ndarray:
@@ -136,7 +136,7 @@ class LogExponential:
         Costs one O(n) integer select plus O(k log k); only k values are
         transformed.  Returns a read-only array.
         """
-        n, count = _check_size(n), integer(k)
+        n, count = check_size(n), integer(k)
         if not 1 <= count <= n:
             raise DomainError(f"k must be an integer in 1..{n}, got {k!r}")
         values = self._from_lattice(smallest(_lattice(rng.generator(), n), count))
@@ -150,13 +150,6 @@ class LogExponential:
     def _from_lattice(self, k: np.ndarray) -> np.ndarray:
         # inverse CDF at the lattice uniforms; increasing in k
         return np.log(-np.log1p(-_unit(k))) - math.log(self.rate)
-
-
-def _check_size(n: int) -> int:
-    size = integer(n)
-    if not size >= 1:
-        raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
-    return size
 
 
 def _finite(x: float) -> float:
@@ -189,7 +182,7 @@ def rate_for_quantile(x_p: float, p: float) -> LogExponential:
 def asymptotic_variance(p: float, n: int, density_at_quantile: float) -> float:
     """Large-n variance p(1-p) / (n * f(x_p)^2) of the sample p-quantile."""
     p = check_p(p)
-    n = _check_size(n)
+    n = check_size(n)
     if not (math.isfinite(density_at_quantile) and density_at_quantile > 0.0):
         raise DomainError(
             f"density at the quantile must be finite and > 0, got {density_at_quantile!r}"

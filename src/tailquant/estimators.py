@@ -22,7 +22,6 @@ __all__ = [
     "observations",
     "smallest",
     "check_p",
-    "check_size",
     "sample_quantile",
     "quantile_rank",
     "min_sample_size",
@@ -58,7 +57,7 @@ def check_size(n: int) -> int:
     """The sample size n as an int; raises unless it is an integer >= 1."""
     size = integer(n)
     if isinstance(size, float):
-        raise DomainError(f"sample size must be an integer, got {n!r}")
+        raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
     if size < 1:
         raise DomainError(f"sample size must be >= 1, got {n!r}")
     return size

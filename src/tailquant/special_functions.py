@@ -18,8 +18,6 @@ __all__ = [
     "log_gamma",
     "log_beta",
     "regularized_incomplete_beta",
-    "incomplete_beta_cells",
-    "no_convergence",
     "normal_quantile",
     "CF_TOL",
     "CF_MAX_ITER",

@@ -121,15 +121,26 @@ class TestWeightWindow:
         assert (weights.lo, weights.hi) == (lo, lo + expected.size)
         assert weights.window.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("n,r", [(1000, 1), (9973, 99), (30_000, 15_000), (1000, 1000)])
-    def test_a_block_grown_from_one_cell_gives_the_same_window(self, monkeypatch, n, r):
+    @pytest.mark.parametrize("n,r", [(9973, 99), (30_000, 15_000), (1000, 500), (10**5, 1000)])
+    def test_a_grown_block_gives_the_same_window(self, monkeypatch, n, r):
         expected = bootstrap_weights(n, r).window.tobytes()
-        monkeypatch.setattr(bootstrap, "_block_half_width", lambda r: 1)
+
+        class NoSqrt:  # shrinks the first block to r +/- 40, which these windows overrun
+            isqrt = staticmethod(lambda r: 0)
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+        blocks = []
+        evaluate = bootstrap.incomplete_beta_cells
+        monkeypatch.setattr(bootstrap, "math", NoSqrt())
+        monkeypatch.setattr(bootstrap, "incomplete_beta_cells", lambda x, a, b: blocks.append(x) or evaluate(x, a, b))
         _window_weights.cache_clear()
         try:
             assert bootstrap_weights(n, r).window.tobytes() == expected
         finally:
             _window_weights.cache_clear()
+        assert len(blocks) > 1
 
     @pytest.mark.parametrize("n", [100, 1000, 9973, 30_000])
     @pytest.mark.parametrize("p", [0.01, 0.5, 0.9])

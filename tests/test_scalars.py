@@ -46,11 +46,11 @@ SITES = {
     ),
     "quantile_rank-n": (
         lambda v: quantile_rank(v, 0.25), 100, np.int64(100),
-        "sample size must be an integer, got {!r}",
+        "sample size must be an integer >= 1, got {!r}",
     ),
     "bootstrap_weights-n": (
         lambda v: bootstrap_weights(v, 5).window.tolist(), 100, np.int64(100),
-        "sample size must be an integer, got {!r}",
+        "sample size must be an integer >= 1, got {!r}",
     ),
     "bootstrap_weights-r": (
         lambda v: bootstrap_weights(100, v).window.tolist(), 5, np.int64(5),
@@ -137,3 +137,9 @@ def test_a_float_where_an_integer_is_read_keeps_the_error_text(site, value):
     with pytest.raises(TailquantError) as exc:
         call(value)
     assert str(exc.value) == message.format(value)
+
+
+def test_a_numpy_rank_out_of_range_is_echoed_as_the_number():
+    with pytest.raises(TailquantError) as exc:
+        bootstrap_weights(100, np.int64(0))
+    assert str(exc.value) == "rank must lie in 1..100, got 0"
