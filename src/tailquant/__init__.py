@@ -18,16 +18,11 @@ from .errors import (
     DomainError,
     EmptyInput,
     InsufficientSamples,
-    NoConvergence,
     TailquantError,
 )
 from .estimators import quantile_rank, sample_quantile
 from .experiment import ExperimentConfig, Method, RmseTable, run_experiment
-from .special_functions import (
-    log_gamma,
-    normal_quantile,
-    regularized_incomplete_beta,
-)
+from .special_functions import normal_quantile
 
 __version__ = "0.1.0"
 
@@ -40,7 +35,6 @@ __all__ = [
     "InsufficientSamples",
     "LogExponential",
     "Method",
-    "NoConvergence",
     "PosteriorBelief",
     "PriorBelief",
     "RmseTable",
@@ -48,12 +42,10 @@ __all__ = [
     "TailquantError",
     "bootstrap_variance",
     "bootstrap_weights",
-    "log_gamma",
     "normal_quantile",
     "posterior",
     "quantile_rank",
     "rate_for_quantile",
-    "regularized_incomplete_beta",
     "run_experiment",
     "sample_quantile",
     "__version__",

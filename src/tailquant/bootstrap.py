@@ -13,15 +13,14 @@ using r * C(n, r) = 1 / B(r, n-r+1) (Maritz & Jarrett 1978; Hutson & Ernst
 The variance estimate is the weighted second moment of the sample about
 x_(r).
 
-The weights are increments of the Beta(r, n-r+1) CDF, whose mass sits in a
-window of about r +/- c*sqrt(r) cells, so the CDF is evaluated only there.
-Starting at CDF index r, the walk goes down until I_{lo/n} < _MASS_FLOOR
-(or lo = 0) and up until 1 - I_{hi/n} < _MASS_FLOOR (or hi = n).  Every
-cell outside (lo, hi] then has an increment below the floor, which the
-weights zero anyway, so the window holds exactly the weights a pass over all
-n+1 CDF values would give.  The CDF values come from one array evaluation
-of a block of cells around r, grown until the walk stops inside it, so the
-cost is about 1.3-1.5 times hi - lo array cells instead of n + 1 scalar calls.
+Each weight is the mass of the Beta(r, n-r+1) density f over its cell, an
+8-point Gauss-Legendre sum, which is exact to rounding because f is smooth
+on a cell of width 1/n.  The mass sits in a window of about r +/- c*sqrt(r)
+cells, so only a block of cells around r is evaluated, in one array.
+Starting at CDF index r, the walk goes down until I_{lo/n} < _MASS_FLOOR (or
+lo = 0) and up until 1 - I_{hi/n} < _MASS_FLOOR (or hi = n).  Every cell
+outside (lo, hi] then has a mass below the floor, which the weights zero
+anyway, so the cost grows with r, not with n.
 The variance needs only x_(lo+1..hi) and x_(r), so `tail_variance`
 takes any ascending array that holds at least x_(1..hi): a simulation trial
 draws only those lowest order statistics, and `bootstrap_variance` passes a
@@ -41,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, integer
 from .estimators import check_size, observations, quantile_rank, smallest
-from .special_functions import incomplete_beta_cells, no_convergence
+from .special_functions import log_beta_density
 
 __all__ = [
     "BootstrapWeights",
@@ -50,11 +49,21 @@ __all__ = [
     "tail_variance",
 ]
 
-# Adjacent CDF values that agree to below this level carry no resolvable
-# probability mass; their difference is pure cancellation noise.
+# A cell mass below this level is set to 0, and the window ends where the
+# mass beyond it falls below it.
 _MASS_FLOOR = 1e-15
 
 _WEIGHT_SUM_TOL = 1e-10
+
+# 8-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(8)
+_GL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+_GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,47 +104,58 @@ class BootstrapWeights:
         return w
 
 
+def _cell_masses(n: int, r: int, log_f0: float, first: int, last: int) -> np.ndarray:
+    """The masses of the Beta(r, n-r+1) density f over cells first..last, ((i-1)/n, i/n].
+
+    With u = n*x - r, log f(x) = log f(r/n) + (r-1)*log1p(u/r)
+    + (n-r)*log1p(-u/(n-r)); a term whose coefficient is 0 is dropped, so
+    r = 1, r = n and n = 1 need no special case.  ``log_f0`` is log f(r/n).
+    """
+    u = (np.arange(first, last + 1) - (r + 0.5))[:, None] + _GL_NODES / 2.0
+    log_f = np.full(u.shape, log_f0)
+    if r > 1:
+        log_f += (r - 1) * np.log1p(u / r)
+    if n > r:
+        log_f += (n - r) * np.log1p(-u / (n - r))
+    f = np.exp(log_f)
+    # symmetric nodes share a weight; a sum in this fixed order gives a cell
+    # the same bits in any block, which a BLAS product does not
+    pairs = (w * (f[:, k] + f[:, -1 - k]) for k, w in enumerate(_GL_WEIGHTS[:4].tolist()))
+    return sum(pairs) / (2 * n)
+
+
 @functools.lru_cache(maxsize=16)
 def _window_weights(n: int, r: int) -> BootstrapWeights:
-    a, b = float(r), float(n - r + 1)
-
-    def cdf(first: int, last: int) -> np.ndarray:
-        """I_{i/n} for i = first..last, NaN where the fraction failed."""
-        return incomplete_beta_cells(np.arange(first, last + 1) / n, a, b)
-
-    # The CDF is evaluated on a block of cells, values[i - base] for i in
-    # base..top, which a side the walk runs off doubles, and the walk then
-    # reads it in its order: a failed cell stops it and raises, and a cell
-    # it does not reach cannot raise.  The first block reaches 9*isqrt(r) + 40
-    # cells either side of r.  Below r the binomial Chernoff bound
-    # exp(-t^2 / 2r) puts the CDF under 1e-17 there; on either side no
-    # window has needed more than 0.87 of it, over every r of every
-    # n <= 2000 and every (n, r) of the benchmark's estimate inputs, so the
-    # doubling is a safeguard that no input tried has reached.
+    log_f0 = log_beta_density(n, r)
+    # Masses are evaluated on a block of cells base+1..top, and a side that
+    # the walk runs off doubles.  At CDF index j, I is the sum of the masses
+    # from the block's lower edge and 1 - I the sum to its top edge, so the
+    # walk never reads a difference of two numbers near 1; an edge inside
+    # 0..n is not a stop, because the mass beyond it is not in those sums.
+    # The first block reaches 9*isqrt(r) + 40 cells either side of r: below r
+    # the binomial Chernoff bound exp(-t^2 / 2r) puts the CDF under 1e-17
+    # there, and no window of the r of n <= 399, 1000 and 2000, or of the
+    # benchmark's estimate inputs, has used more than 0.86 of it.
     step = 9 * math.isqrt(r) + 40
     base, top = max(0, r - step), min(n, r + step)
-    values = cdf(base, top)
+    mass = _cell_masses(n, r, log_f0, base + 1, top)
     while True:  # down from r: lo is the first cell with I < floor, or 0
-        down = values[r - base :: -1]
-        stops = np.flatnonzero((down < _MASS_FLOOR) | np.isnan(down))
+        cdf = np.concatenate(([0.0], np.cumsum(mass)))
+        stops = np.flatnonzero(cdf[r - base : None if base == 0 else 0 : -1] < _MASS_FLOOR)
         if stops.size:
             break
         grown = max(0, 2 * base - r)
-        values, base = np.concatenate([cdf(grown, base - 1), values]), grown
+        mass, base = np.concatenate([_cell_masses(n, r, log_f0, grown + 1, base), mass]), grown
     lo = r - int(stops[0])
-    if math.isnan(values[lo - base]):
-        raise no_convergence(lo / n, a, b)
     while True:  # up from r: hi is the first cell with 1 - I < floor, or n
-        up = values[r - base :]
-        stops = np.flatnonzero((1.0 - up < _MASS_FLOOR) | np.isnan(up))
+        tail = np.concatenate((np.cumsum(mass[::-1])[::-1], [0.0]))
+        stops = np.flatnonzero(tail[r - base : None if top == n else -1] < _MASS_FLOOR)
         if stops.size:
             break
         grown = min(n, 2 * top - r)
-        values, top = np.concatenate([values, cdf(top + 1, grown)]), grown
+        mass, top = np.concatenate([mass, _cell_masses(n, r, log_f0, top + 1, grown)]), grown
     hi = r + int(stops[0])
-    if math.isnan(values[hi - base]):
-        raise no_convergence(hi / n, a, b)
-    window = np.diff(values[lo - base : hi - base + 1])
+    window = mass[lo - base : hi - base]
     window[window < _MASS_FLOOR] = 0.0
     window.flags.writeable = False
     return BootstrapWeights(n=n, r=r, lo=lo, window=window)

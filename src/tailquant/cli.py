@@ -86,9 +86,12 @@ def _cmd_estimate(args) -> int:
 def _cmd_weights(args) -> int:
     rank = quantile_rank(args.n, check_p(args.p_value))
     weights = bootstrap_weights(args.n, rank)
-    for i, w in enumerate(weights.w, start=1):
-        print(f"{i},{_fmt(w)}")
-    print(f"sum={_fmt(weights.w.sum())}")
+    total = f"sum={_fmt(weights.w.sum())}"  # before any line, so a failure prints none
+    # format(0.0, ".17g") is "0", so only the window needs formatting
+    lines = [f"{i},0" for i in range(1, weights.lo + 1)]
+    lines += [f"{i},{_fmt(w)}" for i, w in enumerate(weights.window.tolist(), start=weights.lo + 1)]
+    lines += [f"{i},0" for i in range(weights.hi + 1, weights.n + 1)]
+    sys.stdout.write("\n".join(lines) + f"\n{total}\n")
     return EXIT_OK
 
 
@@ -178,7 +181,7 @@ def main(argv=None) -> int:
     except InsufficientSamples as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INSUFFICIENT
-    except (TailquantError, OSError, ValueError) as exc:
+    except (TailquantError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -42,10 +42,6 @@ class InsufficientSamples(TailquantError):
         )
 
 
-class NoConvergence(TailquantError, ArithmeticError):
-    """An iterative numerical scheme hit its iteration cap before converging."""
-
-
 class ConfigError(TailquantError, ValueError):
     """An experiment configuration is invalid."""
 

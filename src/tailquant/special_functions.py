@@ -1,196 +1,73 @@
-"""Log-domain special functions: log-gamma, log-beta, regularized incomplete beta.
+"""The Beta log-density constant of the bootstrap weights, and the normal quantile.
 
-Everything here exists so that order-statistic weight integrals with sample
-sizes up to 1e7 can be evaluated without overflow: products such as
-C(n,r) * y^(r-1) * (1-y)^(n-r) are assembled in log space and exponentiated
-last.  A high-accuracy normal quantile is included for inverse-CDF sampling.
+The bootstrap weights of `bootstrap` are masses of the Beta(r, n-r+1)
+density f.  `log_beta_density` gives log f(r/n), the constant that the weight
+kernel scales every cell by, in Loader's saddle-point form: f(x) equals
+n * dbinom(r-1; n-1, x), and Loader (2000, "Fast and Accurate Computation of
+Binomial Probabilities") writes dbinom through the Stirling-series error
+`_stirlerr` and the deviance term `_bd0`, so no log-gamma of size n*log(n)
+is formed and differenced.  A high-accuracy normal quantile is included for
+inverse-CDF sampling.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
+from .errors import DomainError
 
-from .errors import DomainError, NoConvergence, real
+__all__ = ["normal_quantile"]
 
-__all__ = [
-    "log_gamma",
-    "log_beta",
-    "regularized_incomplete_beta",
-    "normal_quantile",
-    "CF_TOL",
-    "CF_MAX_ITER",
-]
+_LN_2PI = math.log(2.0 * math.pi)
 
-# Lanczos approximation, g = 7, 9 terms (Godfrey's published set).
-# Empirically good to ~2.6e-15 relative over [0.5, 1e6].
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_LN_PI = math.log(math.pi)
-
-# Continued-fraction controls for the incomplete beta.
-CF_TOL = 1e-14
-CF_MAX_ITER = 500
-_FPMIN = 1e-30
-
-# Below this log-prefactor the exponentiated result is indistinguishable
-# from the saturated value (0 or 1) in double precision.
-_LOG_UNDERFLOW = -740.0
+# Stirling series coefficients 1/12, 1/360, 1/1260, 1/1680, 1/1188
+_STIRLING = (1.0 / 12.0, 1.0 / 360.0, 1.0 / 1260.0, 1.0 / 1680.0, 1.0 / 1188.0)
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    value = real(x)
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    if value < 0.5:
-        # Reflection: Gamma(x) * Gamma(1-x) = pi / sin(pi x), and sin > 0 on (0, 0.5).
-        return _LN_PI - math.log(math.sin(math.pi * value)) - _lanczos(1.0 - value)
-    return _lanczos(value)
+def _stirlerr(k: int) -> float:
+    """log(k!) - log(sqrt(2 pi k) (k/e)^k), the error of Stirling's formula; 0 at k = 0."""
+    if k <= 15:
+        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - 0.5 * _LN_2PI if k else 0.0
+    # the series, cut where its next term is below 1e-17 (Loader's cutoffs)
+    terms = 2 if k > 500 else 3 if k > 80 else 4 if k > 35 else 5
+    kk, s = float(k) * k, 0.0
+    for c in reversed(_STIRLING[:terms]):
+        s = c - s / kk
+    return s / k
 
 
-def _lanczos(x: float) -> float:
-    z = x - 1.0
-    s = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        s += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(s)
+def _bd0(x: float, m: float) -> float:
+    """x*log(x/m) + m - x, by its series in (x-m)/(x+m) where the terms would cancel."""
+    if abs(x - m) < 0.1 * (x + m):
+        v = (x - m) / (x + m)
+        s, ej, j = (x - m) * v, 2.0 * x * v, 1
+        while True:
+            ej *= v * v
+            j += 2
+            term = s + ej / j
+            if term == s:
+                return s
+            s = term
+    return (x * math.log(x / m) if x else 0.0) + m - x
 
 
-def log_beta(a: float, b: float) -> float:
-    """ln B(a, b) for shapes a, b > 0."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+def log_beta_density(n: int, r: int) -> float:
+    """log f(r/n) for the Beta(r, n-r+1) density f and integers 1 <= r <= n.
 
-
-def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b), i.e. the beta-distribution CDF.
-
-    One point of `incomplete_beta_cells`.  Raises NoConvergence if the
-    continued fraction has not settled to CF_TOL within CF_MAX_ITER
-    iterations.
+    f(r/n) = n * dbinom(k; m, r/n) with k = r-1 and m = n-1, and Loader's
+    form of dbinom is exp(stirlerr(m) - stirlerr(k) - stirlerr(m-k)
+    - bd0(k, m*r/n) - bd0(m-k, m*(n-r)/n)) / sqrt(2 pi k (m-k) / m), whose
+    square root is dropped at k = 0 and k = m, where the binomial mass is a
+    single power.
     """
-    for name, shape in (("a", a), ("b", b)):
-        if not (math.isfinite(real(shape)) and shape > 0.0):
-            raise DomainError(f"beta shape {name} must be finite and > 0, got {shape!r}")
-    a, b = float(a), float(b)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"regularized_incomplete_beta requires x in [0, 1], got {x!r}")
-    value = float(incomplete_beta_cells(np.array([x], dtype=np.float64), a, b)[0])
-    if math.isnan(value):
-        raise no_convergence(float(x), a, b)
-    return value
-
-
-def incomplete_beta_cells(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """I_x(a, b) at each of the trusted points x in [0, 1], NaN where the fraction failed.
-
-    The fraction converges fast only for x below the crossover
-    (a+1)/(a+b+2); beyond it the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) is
-    applied first.  The prefactor x^a (1-x)^b / B(a, b) is taken per point
-    with `math`, and the fractions of all points run as one array recurrence,
-    so every value has the bits of the scalar scheme in Python floats (kept
-    in tests/scalar_reference.py as the reference).  Nothing raises
-    for a point whose fraction did not converge: the caller decides which
-    points it needs, and `no_convergence` gives the error for one of them.
-    """
-    values = np.empty(x.size)
-    log_beta_ab = log_beta(a, b)
-    crossover = (a + 1.0) / (a + b + 2.0)
-    cells, scales = [], []
-    for k, xk in enumerate(x.tolist()):
-        if xk == 0.0 or xk == 1.0:
-            values[k] = 0.0 if xk == 0.0 else 1.0
-            continue
-        # log of x^a (1-x)^b / B(a, b), the prefactor common to both branches
-        log_pre = a * math.log(xk) + b * math.log1p(-xk) - log_beta_ab
-        if log_pre < _LOG_UNDERFLOW:
-            values[k] = 0.0 if xk < crossover else 1.0
-            continue
-        cells.append(k)
-        scales.append(math.exp(log_pre))
-    if cells:
-        point = x[cells]
-        direct = point < crossover
-        first = np.where(direct, a, b)
-        fraction = _beta_cf(first, np.where(direct, b, a), np.where(direct, point, 1.0 - point))
-        part = np.array(scales) * fraction / first
-        values[cells] = np.where(direct, part, 1.0 - part)
-    return values
-
-
-def no_convergence(x: float, a: float, b: float) -> NoConvergence:
-    """The error for point x of `incomplete_beta_cells`, naming its fraction's arguments."""
-    if not x < (a + 1.0) / (a + b + 2.0):
-        a, b, x = b, a, 1.0 - x
-    return NoConvergence(
-        f"incomplete beta continued fraction did not converge within "
-        f"{CF_MAX_ITER} iterations (a={a}, b={b}, x={x})"
+    m, k = n - 1, r - 1
+    value = (
+        math.log(n) + _stirlerr(m) - _stirlerr(k) - _stirlerr(m - k)
+        - _bd0(k, m * r / n) - _bd0(m - k, m * (n - r) / n)
     )
-
-
-def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Continued fraction for the incomplete beta, modified Lentz scheme, one lane per point.
-
-    Each lane takes the scalar scheme's operations in its order and stops
-    as soon as its own step has settled, so its value does not depend on
-    the other lanes.  A lane that has not settled within CF_MAX_ITER
-    iterations is NaN.  Arithmetic that overflows gives inf or NaN silently,
-    as Python floats do, and a lane that meets NaN never settles.
-    """
-    fraction = np.full(x.size, np.nan)
-    lane = np.arange(x.size)
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones(x.size)
-    d = 1.0 - qab * x / qap
-    d[np.abs(d) < _FPMIN] = _FPMIN
-    d = 1.0 / d
-    h = d
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, CF_MAX_ITER + 1):
-            m2 = 2 * m
-            # even step
-            aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-            d = 1.0 + aa * d
-            d[np.abs(d) < _FPMIN] = _FPMIN
-            c = 1.0 + aa / c
-            c[np.abs(c) < _FPMIN] = _FPMIN
-            d = 1.0 / d
-            h = h * (d * c)
-            # odd step
-            aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-            d = 1.0 + aa * d
-            d[np.abs(d) < _FPMIN] = _FPMIN
-            c = 1.0 + aa / c
-            c[np.abs(c) < _FPMIN] = _FPMIN
-            d = 1.0 / d
-            delta = d * c
-            h = h * delta
-            settled = np.abs(delta - 1.0) < CF_TOL
-            if settled.any():
-                fraction[lane[settled]] = h[settled]
-                going = ~settled
-                if not going.any():
-                    break
-                lane, a, b, x, qab, qap, qam, c, d, h = (
-                    v[going] for v in (lane, a, b, x, qab, qap, qam, c, d, h)
-                )
-    return fraction
+    if 0 < k < m:
+        value -= 0.5 * (_LN_2PI + math.log(k * (m - k) / m))
+    return value
 
 
 # Wichura's PPND16 rational approximations for the standard normal quantile;

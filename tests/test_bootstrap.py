@@ -8,9 +8,9 @@ from scipy import integrate
 from scipy.special import betainc, betaincc
 
 import tailquant.bootstrap as bootstrap
-import tailquant.special_functions as sf
-from scalar_reference import scalar_incomplete_beta, walk_window
 from tailquant.bootstrap import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     _MASS_FLOOR,
     _window_weights,
     bootstrap_variance,
@@ -18,8 +18,9 @@ from tailquant.bootstrap import (
     tail_variance,
 )
 from tailquant.distributions import RngStream, rate_for_quantile
-from tailquant.errors import DomainError, InsufficientSamples, NoConvergence
+from tailquant.errors import DomainError, InsufficientSamples
 from tailquant.estimators import quantile_rank, sample_quantile
+from tailquant.special_functions import log_beta_density
 
 
 def quadrature_weights(n: int, r: int) -> np.ndarray:
@@ -38,12 +39,31 @@ def quadrature_weights(n: int, r: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def dense_weights(n: int, r: int) -> np.ndarray:
-    """Reference: all n+1 scalar CDF values, differenced, increments below the floor zeroed."""
-    a, b = float(r), float(n - r + 1)
-    cdf = np.array([scalar_incomplete_beta(i / n, a, b) for i in range(n + 1)])
-    w = np.diff(cdf)
+    """Reference: the cell kernel over all n cells in one block, masses below the floor zeroed."""
+    w = bootstrap._cell_masses(n, r, log_beta_density(n, r), 1, n)
     w[w < _MASS_FLOOR] = 0.0
     return w
+
+
+def scipy_weights(n: int, r: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Independent oracle: scipy's I_{i/n}(r, n-r+1) increments over cells lo+1..hi.
+
+    Past the middle the complement is taken at (n-i)/n, whose rounding is
+    relative to its own small size; i/n itself is rounded to an ulp of 1
+    there, which moves the CDF by f * ulp(1), 1e-9 at r = n = 1e7.
+    """
+    i = np.arange(lo, n + 1 if hi is None else hi + 1)
+    if 2 * r <= n:
+        return np.diff(betainc(r, n - r + 1, i / n))
+    return np.diff(betaincc(n - r + 1, r, (n - i) / n))
+
+
+def oracle_grid() -> list[tuple[int, int]]:
+    """(n, r) of `window_grid` and r = floor(n*p), 1 and n up to n = 1e7, p up to 0.5."""
+    cases = set(window_grid()) | {(3 * 10**6, 15 * 10**5)}
+    for n in (10**3, 10**5, 10**6, 10**7):
+        cases.update({(n, 1), (n, n)} | {(n, math.floor(n * p)) for p in (0.01, 0.1, 0.5)})
+    return sorted(cases)
 
 
 def window_grid() -> list[tuple[int, int]]:
@@ -91,13 +111,10 @@ class TestBootstrapWeights:
         with pytest.raises(ValueError):
             first[0] = 2.0  # cached array is read-only
 
-    def test_no_convergence_propagates(self, monkeypatch):
-        monkeypatch.setattr(sf, "CF_MAX_ITER", 1)
-        _window_weights.cache_clear()
-        with pytest.raises(NoConvergence):
-            bootstrap_weights(53, 7)
-        monkeypatch.undo()
-        _window_weights.cache_clear()
+    def test_gauss_legendre_constants_are_numpys(self):
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        assert _GL_NODES.tobytes() == nodes.tobytes()
+        assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 class TestWeightWindow:
@@ -109,17 +126,22 @@ class TestWeightWindow:
         assert weights.w.tobytes() == dense.tobytes()
         assert weights.window.tobytes() == dense[weights.lo : weights.hi].tobytes()
 
-    @pytest.mark.parametrize("n,r", window_grid() + [(10**5, 1000), (10**6, 5 * 10**5), (10**7, 10**5)])
-    def test_bit_identical_to_the_scalar_walk(self, n, r):
-        lo, cdf = walk_window(n, r)
-        a, b = float(r), float(n - r + 1)
-        cells = np.arange(lo, lo + cdf.size) / n
-        assert sf.incomplete_beta_cells(cells, a, b).tobytes() == cdf.tobytes()
-        expected = np.diff(cdf)
-        expected[expected < _MASS_FLOOR] = 0.0
+    @pytest.mark.parametrize("n,r", oracle_grid())
+    def test_matches_scipy_increments(self, n, r):
         weights = bootstrap_weights(n, r)
-        assert (weights.lo, weights.hi) == (lo, lo + expected.size)
-        assert weights.window.tobytes() == expected.tobytes()
+        # The 8-point rule is exact to rounding on a cell of width 1/n: over
+        # this grid a 12-point rule moves no weight by more than 4e-16, and a
+        # 4-point rule by 9e-11.  log f(r/n) is within 1e-14
+        # (test_special_functions), a relative 1e-14 on weights below 1; each
+        # log1p term of size |u| adds about eps*|u| relative, and the weight
+        # is negligible where |u| is large.  The reference rounds the cell
+        # edges x = i/n to half an ulp, which moves each increment by up to
+        # f * ulp(x): 3e-13 at n = 1e7, p = 0.5, where the density f peaks at
+        # 2.5e3.  Together this is under 1e-12.
+        reference = scipy_weights(n, r, weights.lo, weights.hi)
+        np.testing.assert_allclose(weights.window, reference, rtol=0.0, atol=1e-12)
+        assert abs(float(weights.window.sum()) - 1.0) <= 1e-12
+        assert weights.lo < r <= weights.hi
 
     @pytest.mark.parametrize("n,r", [(9973, 99), (30_000, 15_000), (1000, 500), (10**5, 1000)])
     def test_a_grown_block_gives_the_same_window(self, monkeypatch, n, r):
@@ -132,9 +154,9 @@ class TestWeightWindow:
                 return getattr(math, name)
 
         blocks = []
-        evaluate = bootstrap.incomplete_beta_cells
+        evaluate = bootstrap._cell_masses
         monkeypatch.setattr(bootstrap, "math", NoSqrt())
-        monkeypatch.setattr(bootstrap, "incomplete_beta_cells", lambda x, a, b: blocks.append(x) or evaluate(x, a, b))
+        monkeypatch.setattr(bootstrap, "_cell_masses", lambda *args: blocks.append(args) or evaluate(*args))
         _window_weights.cache_clear()
         try:
             assert bootstrap_weights(n, r).window.tobytes() == expected
@@ -147,13 +169,14 @@ class TestWeightWindow:
     def test_variance_matches_dense_dot(self, n, p):
         data = np.sort(np.random.default_rng(n).standard_normal(n))
         r = quantile_rank(n, p)
-        expected = float(np.dot((data - data[r - 1]) ** 2, dense_weights(n, r)))
+        expected = float(np.dot((data - data[r - 1]) ** 2, scipy_weights(n, r)))
         value = bootstrap_variance(data, p)
-        assert value == pytest.approx(expected, rel=1e-13)
+        # the weights agree to 1e-12 absolute (test_matches_scipy_increments)
+        assert value == pytest.approx(expected, rel=1e-10)
 
     def test_window_is_narrow(self):
         # the Beta(r, n-r+1) mass sits within about r +/- c*sqrt(r) cells:
-        # 162 CDF increments are computed here instead of 1e5
+        # 163 cell masses are kept here instead of 1e5
         weights = bootstrap_weights(100_000, 100)
         assert weights.window.size < 200
         assert np.count_nonzero(weights.w) == np.count_nonzero(weights.window)
@@ -165,58 +188,23 @@ class TestWeightWindow:
         a, b = r, n - r + 1
         weights = bootstrap_weights(n, r)
         reference = np.diff(betainc(a, b, np.arange(weights.lo, weights.hi + 1) / n))
-        # ln B(a, b) is a difference of log-gammas of size ~ln Gamma(n+1), so
-        # its rounding error is a few ulps of that; it scales the prefactor of
-        # every CDF value and lands on the weight where the incomplete beta
-        # switches to its complement branch
-        atol = 4 * math.ulp(math.lgamma(n + 1.0))
-        np.testing.assert_allclose(weights.window, reference, rtol=0.0, atol=atol)
+        # the bound is derived in test_matches_scipy_increments
+        np.testing.assert_allclose(weights.window, reference, rtol=0.0, atol=1e-12)
         assert betainc(a, b, weights.lo / n) < _MASS_FLOOR
-        # the walk reads 1 - I from a double near 1, which resolves it to eps
-        assert betaincc(a, b, weights.hi / n) < _MASS_FLOOR + np.finfo(float).eps
+        assert betaincc(a, b, weights.hi / n) < _MASS_FLOOR
 
+    @pytest.mark.parametrize("n,r", [(3_000_000, 1_500_000), (10**7, 5 * 10**6)])
+    def test_central_ranks_up_to_1e7_are_normalized(self, n, r):
+        assert abs(float(bootstrap_weights(n, r).window.sum()) - 1.0) <= 1e-12
 
-class TestWindowFailures:
-    """A cell whose fraction fails raises only where the cell-by-cell walk would read it."""
-
-    N, R = 9973, 99  # window cells 39..199, first block 0..220
-
-    def weights_failing_at(self, monkeypatch, cells):
-        evaluate = bootstrap.incomplete_beta_cells
-
-        def flaky(x, a, b):
-            bad = np.isin(np.rint(x * self.N).astype(int), list(cells))
-            return np.where(bad, np.nan, evaluate(x, a, b))
-
-        monkeypatch.setattr(bootstrap, "incomplete_beta_cells", flaky)
-        _window_weights.cache_clear()
-        try:
-            return bootstrap_weights(self.N, self.R)
-        finally:
-            _window_weights.cache_clear()
-
-    def test_failures_outside_the_window_never_raise(self, monkeypatch):
-        weights = bootstrap_weights(self.N, self.R)
-        assert (weights.lo, weights.hi) == (39, 199)
-        outside = set(range(0, 39)) | set(range(200, 400))
-        assert self.weights_failing_at(monkeypatch, outside).window.tobytes() == weights.window.tobytes()
-
-    @pytest.mark.parametrize(
-        "cells,named",
-        [
-            ({40, 101}, "(a=99.0, b=9875.0, x={})".format(40 / 9973)),  # the walk goes down first
-            ({39, 199}, "(a=99.0, b=9875.0, x={})".format(39 / 9973)),
-            ({101, 150}, "(a=9875.0, b=99.0, x={})".format(1.0 - 101 / 9973)),
-            ({199}, "(a=9875.0, b=99.0, x={})".format(1.0 - 199 / 9973)),
-            ({99}, "(a=99.0, b=9875.0, x={})".format(99 / 9973)),
-        ],
-    )
-    def test_the_first_failure_in_walk_order_is_raised(self, monkeypatch, cells, named):
-        with pytest.raises(NoConvergence) as exc:
-            self.weights_failing_at(monkeypatch, cells)
-        assert str(exc.value) == (
-            f"incomplete beta continued fraction did not converge within {sf.CF_MAX_ITER} iterations {named}"
-        )
+    def test_variance_at_1e7_values_matches_scipy(self):
+        n, p = 10**7, 0.5
+        data = np.random.default_rng(7).standard_normal(n)
+        r = quantile_rank(n, p)
+        weights = bootstrap_weights(n, r)
+        window = np.sort(np.partition(data, [weights.lo, weights.hi - 1])[weights.lo : weights.hi])
+        reference = float(np.dot((window - window[r - 1 - weights.lo]) ** 2, scipy_weights(n, r, weights.lo, weights.hi)))
+        assert bootstrap_variance(data, p) == pytest.approx(reference, rel=1e-10)
 
 
 class TestBootstrapVariance:

@@ -1,10 +1,19 @@
+import io
+import os
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tailquant
+from tailquant.bootstrap import bootstrap_weights
 from tailquant.cli import main
-from tailquant.experiment import CSV_HEADER
+from tailquant.estimators import quantile_rank
+from tailquant.experiment import CSV_HEADER, _fmt
 
 
 def run_cli(capsys, *argv):
@@ -205,13 +214,23 @@ class TestWeights:
         assert (code, out) == (1, "")
         assert err == f"error: sample size must be >= 1, got {n}\n"
 
-    def test_a_fraction_that_does_not_converge_is_one_line(self, capsys):
+    def test_a_central_rank_at_3e6_prints_its_weights(self, capsys):
         code, out, err = run_cli(capsys, "weights", "--n", "3000000", "--p-value", "0.5")
-        assert (code, out) == (1, "")
-        assert err == (
-            "error: incomplete beta continued fraction did not converge within 500 iterations "
-            "(a=1500001.0, b=1500000.0, x=0.5)\n"
-        )
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 3_000_001
+        assert abs(float(lines[-1].partition("=")[2]) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n,p", [(2, 0.5), (250, 0.01), (10**5, 0.001), (10**6, 0.5)])
+    def test_output_has_the_bytes_of_the_per_line_loop(self, capsys, n, p):
+        weights = bootstrap_weights(n, quantile_rank(n, p))
+        expected = io.StringIO()
+        for i, w in enumerate(weights.w, start=1):
+            print(f"{i},{_fmt(w)}", file=expected)
+        print(f"sum={_fmt(weights.w.sum())}", file=expected)
+        code, out, err = run_cli(capsys, "weights", "--n", str(n), "--p-value", str(p))
+        assert (code, err) == (0, "")
+        assert out == expected.getvalue()
 
     def test_insufficient_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "weights", "--n", "5", "--p-value", "0.01")
@@ -357,3 +376,28 @@ def test_a_file_without_observations_is_one_line_exit_one(capsys, tmp_path, cont
     path.write_text(content, encoding="utf-8")
     code, out, err = run_cli(capsys, "estimate", str(path), "--p-value", "0.5")
     assert (code, out, err) == (1, "", f"error: no observations found in {path}\n")
+
+
+def _address_space_of_3_gb():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weights", "--n", "100000000000", "--p-value", "1e-9"],
+        ["simulate", "--p", "0.01", "--n", "1000000000", "--sigma2", "1", "--trials", "1",
+         "--methods", "sample", "--out", "{out}"],
+    ],
+    ids=["weights", "simulate"],
+)
+def test_a_size_too_large_for_memory_is_one_line(tmp_path, argv):
+    argv = [arg.format(out=tmp_path / "out.csv") for arg in argv]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(tailquant.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tailquant.cli", *argv], capture_output=True, text=True,
+        env=env, preexec_fn=_address_space_of_3_gb, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1

@@ -14,7 +14,6 @@ from tailquant.distributions import LogExponential, RngStream
 from tailquant.errors import TailquantError
 from tailquant.estimators import quantile_rank, sample_quantile
 from tailquant.experiment import ExperimentConfig, run_experiment
-from tailquant.special_functions import regularized_incomplete_beta
 
 SMALL = ExperimentConfig(p_values=(0.1,), sample_sizes=(10,), prior_variances=(1.0,), trials=2)
 
@@ -75,14 +74,6 @@ SITES = {
     "seed": (
         lambda v: RngStream(v).seed, 3, np.uint64(3),
         "seed must be an unsigned 64-bit integer, got {!r}",
-    ),
-    "beta-a": (
-        lambda v: regularized_incomplete_beta(0.3, v, 2.0), 0.5, np.float32(0.5),
-        "beta shape a must be finite and > 0, got {!r}",
-    ),
-    "beta-b": (
-        lambda v: regularized_incomplete_beta(0.3, 2.0, v), 0.5, np.float32(0.5),
-        "beta shape b must be finite and > 0, got {!r}",
     ),
     "config-trials": (
         lambda v: ExperimentConfig(trials=v).trials, 5, np.int64(5),
