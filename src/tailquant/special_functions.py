@@ -26,8 +26,10 @@ _STIRLING = (1.0 / 12.0, 1.0 / 360.0, 1.0 / 1260.0, 1.0 / 1680.0, 1.0 / 1188.0)
 
 def _stirlerr(k: int) -> float:
     """log(k!) - log(sqrt(2 pi k) (k/e)^k), the error of Stirling's formula; 0 at k = 0."""
+    if k == 0:
+        return 0.0
     if k <= 15:
-        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - 0.5 * _LN_2PI if k else 0.0
+        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - 0.5 * _LN_2PI
     # the series, cut where its next term is below 1e-17 (Loader's cutoffs)
     terms = 2 if k > 500 else 3 if k > 80 else 4 if k > 35 else 5
     kk, s = float(k) * k, 0.0
