@@ -58,6 +58,35 @@ def scipy_weights(n: int, r: int, lo: int = 0, hi: int | None = None) -> np.ndar
     return np.diff(betaincc(n - r + 1, r, (n - i) / n))
 
 
+def walk_window(n: int, r: int) -> tuple[int, np.ndarray]:
+    """(lo, weights of cells lo+1..hi) of a walk out from rank r, one cell evaluated at a time.
+
+    Cell r holds the mode (r-1)/(n-1), so the masses fall on both sides of
+    it.  Each side is walked until a cell's mass is below 1e-40, where the
+    rest of that tail cannot move a CDF value near the 1e-15 floor by an ulp,
+    or to the edge; I_j and 1 - I_j are then summed inwards from the far end.
+    """
+    log_f0 = log_beta_density(n, r)
+
+    def side(cells) -> list[float]:
+        masses = []
+        for i in cells:
+            masses.append(float(bootstrap._cell_masses(n, r, log_f0, i, i)[0]))
+            if masses[-1] < 1e-40:
+                break
+        return masses
+
+    down = side(range(r, 0, -1))  # cells r, r-1, ...
+    up = side(range(r + 1, n + 1))  # cells r+1, r+2, ...
+    cdf = np.cumsum(down[::-1])[::-1].tolist() + ([0.0] if len(down) == r else [])  # I_r, I_(r-1), ...
+    tail = np.cumsum(up[::-1])[::-1].tolist() + ([0.0] if len(up) == n - r else [])  # 1-I_r, 1-I_(r+1), ...
+    lo = r - next(k for k, value in enumerate(cdf) if value < _MASS_FLOOR)
+    hi = r + next(k for k, value in enumerate(tail) if value < _MASS_FLOOR)
+    window = np.array(down[: r - lo][::-1] + up[: hi - r])
+    window[window < _MASS_FLOOR] = 0.0
+    return lo, window
+
+
 def oracle_grid() -> list[tuple[int, int]]:
     """(n, r) of `window_grid` and r = floor(n*p), 1 and n up to n = 1e7, p up to 0.5."""
     cases = set(window_grid()) | {(3 * 10**6, 15 * 10**5)}
@@ -125,6 +154,15 @@ class TestWeightWindow:
         assert weights.lo < r <= weights.hi
         assert weights.w.tobytes() == dense.tobytes()
         assert weights.window.tobytes() == dense[weights.lo : weights.hi].tobytes()
+
+    @pytest.mark.parametrize("n,r", window_grid() + [(10**5, 1000), (10**6, 5 * 10**5), (10**7, 10**5)])
+    def test_bit_identical_to_the_scalar_walk(self, n, r):
+        # the block, its doubling and the CDF sums from the block's edges
+        # give the lo, hi and weights of a cell-by-cell walk
+        lo, expected = walk_window(n, r)
+        weights = bootstrap_weights(n, r)
+        assert (weights.lo, weights.hi) == (lo, lo + expected.size)
+        assert weights.window.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n,r", oracle_grid())
     def test_matches_scipy_increments(self, n, r):
