@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, real
 
-__all__ = ["PriorBelief", "PosteriorBelief", "posterior"]
+__all__ = ["PriorBelief", "PosteriorBelief", "posterior", "conjugate_update"]
 
 
 def _check_variance(name: str, value: float, *, allow_zero: bool = False) -> float:
@@ -78,12 +78,16 @@ def posterior(prior: PriorBelief, xhat: float, sample_variance: float) -> Poster
     if not math.isfinite(estimate):
         raise DomainError(f"sample quantile must be finite, got {xhat!r}")
     sample_variance = _check_variance("sample variance", sample_variance, allow_zero=True)
-    s2 = prior.variance
-    w = sample_variance / (s2 + sample_variance)
-    return PosteriorBelief(
-        mean=w * prior.mean + (1.0 - w) * estimate,
-        # s2 * sn2 / (s2 + sn2), grouped so that the product cannot overflow;
-        # unlike 1/(1/s2 + 1/sn2) it is defined at sn2 = 0
-        variance=s2 * w,
-        prior_weight=w,
-    )
+    mean, variance, weight = conjugate_update(prior.mean, prior.variance, estimate, sample_variance)
+    return PosteriorBelief(mean=mean, variance=variance, prior_weight=weight)
+
+
+def conjugate_update(mu, s2, xhat, sn2):
+    """(posterior mean, variance, prior weight) of trusted floats or float64 arrays, elementwise.
+
+    IEEE basic operations only, so an array element has the bits of the call on floats.
+    """
+    w = sn2 / (s2 + sn2)
+    # s2 * sn2 / (s2 + sn2) as s2 * w, so that the product cannot overflow;
+    # unlike 1/(1/s2 + 1/sn2) it is defined at sn2 = 0
+    return w * mu + (1.0 - w) * xhat, s2 * w, w

@@ -30,16 +30,16 @@ class InsufficientSamples(TailquantError):
     """The sample is too small to resolve the requested probability level.
 
     Raised when the order-statistic rank floor(n*p) is zero; carries the
-    smallest sample size that would make the rank positive.
+    smallest sample size that would make the rank positive, or None when no
+    sample size does (1/p overflows).
     """
 
-    def __init__(self, p: float, n: int, needed: int):
+    def __init__(self, p: float, n: int, needed: int | None):
         self.p = p
         self.n = n
         self.needed = needed
-        super().__init__(
-            f"insufficient samples: need n >= {needed} to resolve p = {p:g} (got n = {n})"
-        )
+        need = "no n can" if needed is None else f"need n >= {needed} to"
+        super().__init__(f"insufficient samples: {need} resolve p = {p:g} (got n = {n})")
 
 
 class ConfigError(TailquantError, ValueError):

@@ -69,19 +69,35 @@ def quantile_rank(n: int, p: float) -> int:
     p = check_p(p)
     r = math.floor(n * p)
     if r < 1:
-        raise InsufficientSamples(p, n, min_sample_size(p))
+        try:
+            needed = min_sample_size(p)
+        except DomainError:
+            needed = None
+        raise InsufficientSamples(p, n, needed)
     return r
 
 
 def min_sample_size(p: float) -> int:
-    """Smallest n for which floor(n*p) >= 1 under the exact floating-point rule."""
+    """Smallest n for which floor(n*p) >= 1 under the exact floating-point rule, by bisection.
+
+    Raises DomainError when 1/p overflows (p < ~5.6e-309): then no n resolves p.
+    """
     p = check_p(p)
-    n = max(1, math.ceil(1.0 / p))
-    while math.floor(n * p) < 1:
-        n += 1
-    while n > 1 and math.floor((n - 1) * p) >= 1:
-        n -= 1
-    return n
+    try:
+        hi = max(1, math.ceil(1.0 / p))
+    except OverflowError:
+        raise DomainError(f"no sample size resolves p = {p:g}: 1/p overflows") from None
+    while math.floor(hi * p) < 1:
+        # one float spacing or more: the rounded 1/p may lie just below the edge
+        hi += max(1, hi >> 52)
+    lo = 0  # floor(0 * p) = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.floor(mid * p) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def sample_quantile(values, p: float) -> float:

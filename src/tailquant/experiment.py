@@ -1,16 +1,15 @@
 """Seeded Monte Carlo comparison of sample and Bayesian quantile estimators.
 
-Each trial draws a true quantile from the prior, calibrates the
-log-exponential model to it, draws a sample, and estimates the quantile
-three ways: the raw sample quantile, the Bayesian posterior mean with the
-asymptotic (true-density) variance, and the posterior mean with the analytic
-bootstrap variance.  RMSE per grid cell is aggregated over trials.
-
-A trial reads only the lowest order statistics of its sample: x_(r) for the
-sample quantile and, for the bootstrap variance, x_(1..hi), where hi is the
-top of the bootstrap weight window (about r + c*sqrt(r)).  It draws just
-those with `LogExponential.lowest`, which returns them bit for bit as
-sorting the full sample would, so the results equal the full-sample path's.
+Three estimates of the p-quantile are compared by RMSE per grid cell
+(p, n, sigma^2): the raw sample quantile, and the Bayesian posterior mean
+with the asymptotic (true-density) variance or with the analytic bootstrap
+variance.  `_run_cell` computes a cell in two steps.  First each trial draws
+a true quantile x_p from the prior, calibrates the model to it, and draws
+only the lowest order statistics of its sample: x_(1..r), or x_(1..hi) up to
+the top of the bootstrap weight window when the bootstrap is requested
+(`LogExponential.lowest`, bit for bit the full sample's).  The cell keeps
+x_p, x_(r) and each requested sample variance in `(trials,)` arrays.  Then
+every requested method runs on those arrays, and consumes no randomness.
 
 Reproducibility contract: every trial owns a substream addressed by the
 content of its grid cell (bit patterns of p and sigma^2, the sample size,
@@ -30,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bayes import PriorBelief, posterior
+from .bayes import PriorBelief, conjugate_update
 from .bootstrap import bootstrap_weights, tail_variance
 from .distributions import RngStream, asymptotic_variance, normal_draw, rate_for_quantile
 from .errors import ConfigError, DomainError, EmptyInput, integer, real
@@ -40,12 +39,10 @@ __all__ = [
     "Method",
     "ALL_METHODS",
     "ExperimentConfig",
-    "TrialResult",
     "RmseRow",
     "RmseTable",
     "CSV_HEADER",
     "rmse",
-    "run_trial",
     "run_experiment",
     "read_config",
     "parse_config",
@@ -171,16 +168,6 @@ def _elements(name, seq, read, valid, rule):
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    """One trial's drawn truth and the per-method estimates and squared errors."""
-
-    true_quantile: float
-    estimates: dict[Method, float]
-    squared_errors: dict[Method, float]
-    trial: int
-
-
-@dataclass(frozen=True)
 class RmseRow:
     p: float
     n: int
@@ -226,68 +213,53 @@ def rmse(squared_errors) -> float:
     return float(np.sqrt(np.mean(arr)))
 
 
-def run_trial(
-    p: float,
-    n: int,
-    prior: PriorBelief,
-    methods: tuple[Method, ...],
-    rng: RngStream,
-    trial: int = 0,
-) -> TrialResult:
-    """One simulation trial at a fixed (p, n, prior) setting.
-
-    Draws the true quantile from the prior, calibrates the model, draws the
-    sample once, and evaluates every requested method on that same sample.
-    Only the lowest r order statistics are drawn, or the lowest hi when the
-    bootstrap variance is requested.  Methods consume no randomness of their
-    own.
-    """
-    r = quantile_rank(n, p)
-    weights = bootstrap_weights(n, r) if Method.BAYES_BOOTSTRAP in methods else None
-    x_p = normal_draw(prior, rng.child(_DRAW_QUANTILE))
-    model = rate_for_quantile(x_p, p)
-    k = r if weights is None else weights.hi
-    tail = model.lowest(n, k, rng.child(_DRAW_SAMPLE))
-    estimate = float(tail[r - 1])
-
-    estimates: dict[Method, float] = {}
-    for method in methods:
-        if method is Method.SAMPLE:
-            estimates[method] = estimate
-        elif method is Method.BAYES_KNOWN:
-            sn2 = asymptotic_variance(p, n, model.pdf(x_p))
-            estimates[method] = posterior(prior, estimate, sn2).mean
-        elif method is Method.BAYES_BOOTSTRAP:
-            sn2 = tail_variance(tail, weights)
-            estimates[method] = posterior(prior, estimate, sn2).mean
-        else:
-            raise ConfigError(f"unknown method {method!r}")
-    squared = {m: (v - x_p) ** 2 for m, v in estimates.items()}
-    return TrialResult(
-        true_quantile=x_p, estimates=estimates, squared_errors=squared, trial=trial
-    )
-
-
 def _float_bits(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
 
 
+def cell_stream(seed: int, p: float, n: int, sigma2: float) -> RngStream:
+    """The stream of one grid cell, addressed by its content; trial t owns its child t."""
+    return RngStream(seed, (_float_bits(p), int(n), _float_bits(sigma2)))
+
+
 def trial_stream(seed: int, p: float, n: int, sigma2: float, trial: int) -> RngStream:
-    """The substream owned by one (cell, trial); addressed by cell content."""
-    return RngStream(seed, (_float_bits(p), int(n), _float_bits(sigma2), trial))
+    """The substream owned by one (cell, trial)."""
+    return cell_stream(seed, p, n, sigma2).child(trial)
 
 
 def _run_cell(config: ExperimentConfig, cell: tuple[float, int, float]) -> dict[Method, float]:
+    """RMSE per requested method of one grid cell: the trials' draws, then the methods on arrays."""
     p, n, sigma2 = cell
     prior = PriorBelief(config.prior_mean, sigma2)
-    squared = {m: np.empty(config.trials) for m in config.methods}
+    r = quantile_rank(n, p)
+    weights = bootstrap_weights(n, r) if Method.BAYES_BOOTSTRAP in config.methods else None
+    k = r if weights is None else weights.hi
+    stream = cell_stream(config.seed, p, n, sigma2)
+    truth, quantile = np.empty(config.trials), np.empty(config.trials)
+    # sigma_n^2 per trial, for each requested Bayesian method
+    variances = {m: np.empty(config.trials) for m in config.methods if m is not Method.SAMPLE}
     for t in range(config.trials):
-        result = run_trial(
-            p, n, prior, config.methods, trial_stream(config.seed, p, n, sigma2, t), trial=t
-        )
-        for m in config.methods:
-            squared[m][t] = result.squared_errors[m]
-    return {m: rmse(squared[m]) for m in config.methods}
+        x_p = normal_draw(prior, stream.child(t, _DRAW_QUANTILE))
+        model = rate_for_quantile(x_p, p)
+        tail = model.lowest(n, k, stream.child(t, _DRAW_SAMPLE))
+        truth[t], quantile[t] = x_p, tail[r - 1]
+        if Method.BAYES_KNOWN in variances:
+            variances[Method.BAYES_KNOWN][t] = asymptotic_variance(p, n, model.pdf(x_p))
+        if weights is not None:
+            variances[Method.BAYES_BOOTSTRAP][t] = tail_variance(tail, weights)
+    estimates = {
+        m: conjugate_update(prior.mean, prior.variance, quantile, sn2)[0]
+        for m, sn2 in variances.items()
+    }
+    estimates[Method.SAMPLE] = quantile
+    truths = truth.tolist()
+    # squared as Python floats: float ** 2 is libm pow, which rounds about 1
+    # square in 1,000 differently from numpy's x * x, enough to move the RMSE
+    # bits of a cell with few trials
+    return {
+        m: rmse([(v - x) ** 2 for v, x in zip(estimates[m].tolist(), truths)])
+        for m in config.methods
+    }
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RmseTable:

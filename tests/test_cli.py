@@ -401,3 +401,28 @@ def test_a_size_too_large_for_memory_is_one_line(tmp_path, argv):
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("p", ["1e-300", "5e-324"])
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["estimate", "{data}", "--p-value", "{p}"], 2, "insufficient samples: "),
+        (["weights", "--n", "5", "--p-value", "{p}"], 2, "insufficient samples: "),
+        (["simulate", "--p", "{p}", "--n", "100", "--out", "{out}"], 1, "error: "),
+    ],
+    ids=["estimate", "weights", "simulate"],
+)
+def test_a_level_too_small_for_any_size_ends_in_one_line(tmp_path, argv, code, message, p):
+    # a child process, so that a hang in the smallest-size search fails the
+    # test at its timeout instead of stalling the suite
+    data = tmp_path / "five.txt"
+    data.write_text("1\n2\n3\n4\n5\n", encoding="utf-8")
+    argv = [arg.format(data=data, p=p, out=tmp_path / "out.csv") for arg in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(tailquant.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tailquant.cli", *argv], capture_output=True, text=True,
+        env=env, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1

@@ -15,6 +15,20 @@ from tailquant.estimators import (
     smallest,
 )
 
+def walk_min_sample_size(p: float) -> int:
+    """The smallest n with floor(n*p) >= 1 by a walk in steps of 1 from ceil(1/p).
+
+    Exact, but each step moves float(n) by less than its spacing once
+    1/p > 2^53, so it ends fast only for p above about 1e-20.
+    """
+    n = max(1, math.ceil(1.0 / p))
+    while math.floor(n * p) < 1:
+        n += 1
+    while n > 1 and math.floor((n - 1) * p) >= 1:
+        n -= 1
+    return n
+
+
 finite_floats = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False)
 
 
@@ -135,6 +149,27 @@ class TestRankHelpers:
             m = min_sample_size(p)
             assert math.floor(m * p) >= 1
             assert m == 1 or math.floor((m - 1) * p) < 1
+
+    def test_min_sample_size_matches_the_linear_walk(self):
+        # a log grid, then ties: p = 1/k, where k*p rounds to 1 or just below
+        # it, and the floats on either side of 1/k
+        levels = np.geomspace(1e-20, 0.99, 400).tolist() + [0.3, 0.7, 0.03, 3e-7]
+        for k in range(2, 200):
+            levels += [1.0 / k, math.nextafter(1.0 / k, 0.0), math.nextafter(1.0 / k, 1.0)]
+        assert [p for p in levels if min_sample_size(p) != walk_min_sample_size(p)] == []
+
+    @pytest.mark.parametrize("p", [1e-21, 1e-100, 1e-300, 1e-308, 5.57e-309, 2.0**-1024 + 2.0**-1074])
+    def test_min_sample_size_is_tight_where_the_walk_stalls(self, p):
+        m = min_sample_size(p)
+        assert math.floor(m * p) >= 1
+        assert math.floor((m - 1) * p) < 1
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-310, 2.0**-1024])
+    def test_min_sample_size_rejects_p_whose_inverse_overflows(self, p):
+        with pytest.raises(DomainError, match="no sample size resolves p = .*: 1/p overflows"):
+            min_sample_size(p)
+        with pytest.raises(InsufficientSamples, match=r"no n can resolve .* \(got n = 5\)"):
+            quantile_rank(5, p)
 
     def test_quantile_rank_uses_float_product_as_represented(self):
         # 10 * 0.3 rounds up to exactly 3.0; the rule honors the represented product

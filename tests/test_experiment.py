@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tailquant.bayes import PriorBelief, posterior
+import tailquant
+
+from tailquant import experiment
+from tailquant.bayes import PriorBelief, conjugate_update, posterior
 from tailquant.bootstrap import bootstrap_weights, tail_variance
 from tailquant.distributions import asymptotic_variance, normal_draw, rate_for_quantile
 from tailquant.errors import ConfigError, DomainError, EmptyInput
@@ -19,7 +26,6 @@ from tailquant.experiment import (
     read_config,
     rmse,
     run_experiment,
-    run_trial,
     trial_stream,
 )
 
@@ -32,6 +38,26 @@ FAST = dict(
 )
 
 
+def reference_trial(p, n, prior, methods, stream):
+    """One trial of the full-sample loop: the drawn x_p and each method's estimate."""
+    x_p = normal_draw(prior, stream.child(0))
+    model = rate_for_quantile(x_p, p)
+    ordered = np.sort(model.sample(n, stream.child(1)))
+    r = quantile_rank(n, p)
+    estimate = float(ordered[r - 1])
+    estimates = {}
+    for m in methods:
+        if m is Method.SAMPLE:
+            estimates[m] = estimate
+        elif m is Method.BAYES_KNOWN:
+            sn2 = asymptotic_variance(p, n, model.pdf(x_p))
+            estimates[m] = posterior(prior, estimate, sn2).mean
+        else:
+            sn2 = tail_variance(ordered, bootstrap_weights(n, r))
+            estimates[m] = posterior(prior, estimate, sn2).mean
+    return x_p, estimates
+
+
 def reference_experiment(config: ExperimentConfig) -> RmseTable:
     """The full-sample trial loop: draw and sort all n, then estimate from the whole sorted array."""
     rows = []
@@ -40,26 +66,21 @@ def reference_experiment(config: ExperimentConfig) -> RmseTable:
         squared = {m: [] for m in config.methods}
         for t in range(config.trials):
             stream = trial_stream(config.seed, p, n, s2, t)
-            x_p = normal_draw(prior, stream.child(0))
-            model = rate_for_quantile(x_p, p)
-            ordered = np.sort(model.sample(n, stream.child(1)))
-            r = quantile_rank(n, p)
-            estimate = float(ordered[r - 1])
+            x_p, estimates = reference_trial(p, n, prior, config.methods, stream)
             for m in config.methods:
-                if m is Method.SAMPLE:
-                    value = estimate
-                elif m is Method.BAYES_KNOWN:
-                    sn2 = asymptotic_variance(p, n, model.pdf(x_p))
-                    value = posterior(prior, estimate, sn2).mean
-                else:
-                    sn2 = tail_variance(ordered, bootstrap_weights(n, r))
-                    value = posterior(prior, estimate, sn2).mean
-                squared[m].append((value - x_p) ** 2)
+                squared[m].append((estimates[m] - x_p) ** 2)
         rows.extend(
             RmseRow(p, n, s2, m, rmse(squared[m]), config.trials, config.seed)
             for m in config.methods
         )
     return RmseTable(tuple(rows))
+
+
+def one_cell(p, n, sigma2, trials, seed, methods=ALL_METHODS, prior_mean=0.0):
+    return ExperimentConfig(
+        prior_mean=prior_mean, prior_variances=(sigma2,), p_values=(p,),
+        sample_sizes=(n,), trials=trials, seed=seed, methods=methods,
+    )
 
 
 class TestRmse:
@@ -140,64 +161,97 @@ class TestExperimentConfig:
 
 
 class TestRunTrial:
+    """What one trial must do, checked on the cell that runs it."""
+
     def test_bit_for_bit_reproducible(self):
-        prior = PriorBelief(0.0, 0.5)
-        stream = trial_stream(11, 0.1, 30, 0.5, trial=3)
-        first = run_trial(0.1, 30, prior, ALL_METHODS, stream, trial=3)
-        second = run_trial(0.1, 30, prior, ALL_METHODS, stream, trial=3)
-        assert first == second
+        config = one_cell(0.1, 30, 0.5, trials=5, seed=11)
+        first = experiment._run_cell(config, (0.1, 30, 0.5))
+        second = experiment._run_cell(config, (0.1, 30, 0.5))
+        assert list(first) == list(ALL_METHODS)
+        assert all(first[m].hex() == second[m].hex() for m in ALL_METHODS)
 
     def test_squared_errors_are_exact_squares(self):
-        prior = PriorBelief(0.0, 1.0)
-        result = run_trial(0.2, 40, prior, ALL_METHODS, trial_stream(5, 0.2, 40, 1.0, 0))
-        for method, estimate in result.estimates.items():
-            assert result.squared_errors[method] == (estimate - result.true_quantile) ** 2
+        # the RMSE of one trial is the root of that trial's squared error, to the bit
+        config = one_cell(0.2, 40, 1.0, trials=1, seed=5)
+        truth, estimates = reference_trial(
+            0.2, 40, PriorBelief(0.0, 1.0), ALL_METHODS, trial_stream(5, 0.2, 40, 1.0, 0)
+        )
+        for row in run_experiment(config).rows:
+            assert row.rmse == math.sqrt((estimates[row.method] - truth) ** 2)
 
     def test_methods_consume_no_randomness(self):
-        # the drawn truth and sample-based estimate are identical whether or
+        # the drawn truths and sample-based estimates are identical whether or
         # not the Bayesian methods run
-        prior = PriorBelief(0.0, 1.0)
-        stream = trial_stream(13, 0.1, 50, 1.0, 0)
-        all_methods = run_trial(0.1, 50, prior, ALL_METHODS, stream)
-        sample_only = run_trial(0.1, 50, prior, (Method.SAMPLE,), stream)
-        assert all_methods.true_quantile == sample_only.true_quantile
-        assert all_methods.estimates[Method.SAMPLE] == sample_only.estimates[Method.SAMPLE]
+        grid = dict(prior_variances=(1.0, 0.01), p_values=(0.1,), sample_sizes=(50, 400),
+                    trials=20, seed=13)
+        all_methods = run_experiment(ExperimentConfig(**grid, methods=ALL_METHODS))
+        sample_only = run_experiment(ExperimentConfig(**grid, methods=(Method.SAMPLE,)))
+        kept = [r for r in all_methods.rows if r.method is Method.SAMPLE]
+        assert kept == list(sample_only.rows)
 
     def test_huge_noise_variance_recovers_prior_mean(self):
         prior = PriorBelief(0.0, 1.0)
-        result = run_trial(0.1, 50, prior, (Method.SAMPLE,), trial_stream(17, 0.1, 50, 1.0, 0))
-        belief = posterior(prior, result.estimates[Method.SAMPLE], 1e12)
-        assert abs(belief.mean - prior.mean) <= 1e-12 * max(1.0, abs(result.estimates[Method.SAMPLE]))
+        trials = [
+            reference_trial(0.1, 50, prior, (Method.SAMPLE,), trial_stream(17, 0.1, 50, 1.0, t))
+            for t in range(20)
+        ]
+        quantiles = np.array([estimates[Method.SAMPLE] for _, estimates in trials])
+        means = conjugate_update(prior.mean, prior.variance, quantiles, np.full(20, 1e12))[0]
+        for xhat, mean in zip(quantiles.tolist(), means.tolist()):
+            assert abs(mean - prior.mean) <= 1e-12 * max(1.0, abs(xhat))
+            # the array update gives each trial the bits of the scalar posterior
+            assert mean.hex() == posterior(prior, xhat, 1e12).mean.hex()
 
     def test_degenerate_prior_oracle(self):
         # prior variance 1e-20: the Bayesian estimates collapse onto the prior
         # mean and beat the raw sample quantile nearly always
         p, n, trials = 0.1, 10, 1000
         prior = PriorBelief(0.0, 1e-20)
+        config = one_cell(p, n, 1e-20, trials=trials, seed=29)
+        assert run_experiment(config).to_csv() == reference_experiment(config).to_csv()
         wins = 0
         for t in range(trials):
-            result = run_trial(p, n, prior, ALL_METHODS, trial_stream(29, p, n, 1e-20, t), trial=t)
-            assert abs(result.estimates[Method.BAYES_KNOWN] - prior.mean) < 1e-6
-            assert abs(result.estimates[Method.BAYES_BOOTSTRAP] - prior.mean) < 1e-6
+            truth, estimates = reference_trial(
+                p, n, prior, ALL_METHODS, trial_stream(29, p, n, 1e-20, t)
+            )
+            assert abs(estimates[Method.BAYES_KNOWN] - prior.mean) < 1e-6
+            assert abs(estimates[Method.BAYES_BOOTSTRAP] - prior.mean) < 1e-6
+            squared = {m: (v - truth) ** 2 for m, v in estimates.items()}
             if (
-                result.squared_errors[Method.BAYES_KNOWN] <= result.squared_errors[Method.SAMPLE]
-                and result.squared_errors[Method.BAYES_BOOTSTRAP] <= result.squared_errors[Method.SAMPLE]
+                squared[Method.BAYES_KNOWN] <= squared[Method.SAMPLE]
+                and squared[Method.BAYES_BOOTSTRAP] <= squared[Method.SAMPLE]
             ):
                 wins += 1
         assert wins >= 0.95 * trials
 
+    @pytest.mark.parametrize(
+        "methods,unused",
+        [
+            ((Method.SAMPLE,), ("asymptotic_variance", "bootstrap_weights", "tail_variance")),
+            ((Method.BAYES_KNOWN,), ("bootstrap_weights", "tail_variance")),
+            ((Method.BAYES_BOOTSTRAP,), ("asymptotic_variance",)),
+        ],
+        ids=["sample", "bayes_known", "bayes_bootstrap"],
+    )
+    def test_only_requested_work(self, monkeypatch, methods, unused):
+        def fail(*args):
+            raise AssertionError("called for a method that was not requested")
+
+        for name in unused:
+            monkeypatch.setattr(experiment, name, fail)
+        config = one_cell(0.01, 1000, 1.0, trials=3, seed=2, methods=methods)
+        assert [r.method for r in run_experiment(config).rows] == list(methods)
+
 
 class TestRunExperiment:
     def test_single_trial_rmse_is_absolute_error(self):
-        config = ExperimentConfig(
-            prior_variances=(1.0,), p_values=(0.1,), sample_sizes=(20,), trials=1, seed=3
-        )
+        config = one_cell(0.1, 20, 1.0, trials=1, seed=3)
         table = run_experiment(config)
-        result = run_trial(0.1, 20, PriorBelief(0.0, 1.0), config.methods, trial_stream(3, 0.1, 20, 1.0, 0))
+        truth, estimates = reference_trial(
+            0.1, 20, PriorBelief(0.0, 1.0), config.methods, trial_stream(3, 0.1, 20, 1.0, 0)
+        )
         for row in table.rows:
-            assert row.rmse == pytest.approx(
-                abs(result.estimates[row.method] - result.true_quantile), rel=1e-15
-            )
+            assert row.rmse == pytest.approx(abs(estimates[row.method] - truth), rel=1e-15)
 
     def test_row_count_and_order(self):
         config = ExperimentConfig(**FAST)
@@ -259,6 +313,40 @@ class TestTailOnlyDraws:
             prior_variances=(1.0, 0.01), trials=3, seed=11, methods=methods, **grid
         )
         assert run_experiment(config).to_csv() == reference_experiment(config).to_csv()
+
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
+# numpy's AVX512 dispatch groups; with them disabled, numpy takes its AVX2 paths
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+class TestSimdLevel:
+    # numpy's log, log1p and exp round their last bit differently on different
+    # SIMD paths, so CSV bytes are fixed per host and numpy build; this pins
+    # how far a row may move between the AVX512 and the AVX2 path
+    @pytest.mark.skipif(not __cpu_features__.get("X86_V4"), reason="no AVX512 path to compare")
+    def test_rows_within_a_few_ulp_without_avx512(self):
+        grid = dict(p_values=(0.01, 0.001), sample_sizes=(1000, 100_000), trials=50, seed=5)
+        script = (
+            "import sys; from tailquant.experiment import ExperimentConfig, run_experiment; "
+            f"sys.stdout.write(run_experiment(ExperimentConfig(**{grid!r})).to_csv())"
+        )
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": NO_AVX512,
+               "PYTHONPATH": str(Path(tailquant.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        table = run_experiment(ExperimentConfig(**grid))
+        ours = [line.split(",") for line in table.to_csv().splitlines()]
+        theirs = [line.split(",") for line in proc.stdout.splitlines()]
+        assert len(theirs) == len(ours) == 1 + 2 * 2 * 3 * 3
+        for a, b in zip(ours[1:], theirs[1:]):
+            assert a[:4] + a[5:] == b[:4] + b[5:]
+            x, y = float(a[4]), float(b[4])
+            assert abs(x - y) <= 4 * math.ulp(max(x, y)), (a, b)
 
 
 class TestCsv:
