@@ -22,7 +22,6 @@ from .errors import (
 )
 from .estimators import quantile_rank, sample_quantile
 from .experiment import ExperimentConfig, Method, RmseTable, run_experiment
-from .special_functions import normal_quantile
 
 __version__ = "0.1.0"
 
@@ -42,7 +41,6 @@ __all__ = [
     "TailquantError",
     "bootstrap_variance",
     "bootstrap_weights",
-    "normal_quantile",
     "posterior",
     "quantile_rank",
     "rate_for_quantile",

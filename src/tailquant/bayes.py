@@ -19,6 +19,7 @@ the sample quantile, posterior variance 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, real
@@ -87,7 +88,10 @@ def conjugate_update(mu, s2, xhat, sn2):
 
     IEEE basic operations only, so an array element has the bits of the call on floats.
     """
-    w = sn2 / (s2 + sn2)
+    # both halved where s2 + sn2 overflows, which is where the exact halves
+    # sum past half the float maximum; a finite sum keeps its bits (scale 1)
+    scale = 1.0 - 0.5 * (0.5 * s2 + 0.5 * sn2 > 0.5 * sys.float_info.max)
+    w = (scale * sn2) / (scale * s2 + scale * sn2)
     # s2 * sn2 / (s2 + sn2) as s2 * w, so that the product cannot overflow;
     # unlike 1/(1/s2 + 1/sn2) it is defined at sn2 = 0
     return w * mu + (1.0 - w) * xhat, s2 * w, w

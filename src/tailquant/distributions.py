@@ -1,4 +1,4 @@
-"""The log-exponential test distribution, reproducible RNG streams, and normal draws.
+"""The log-exponential test distribution, reproducible RNG streams, and the prior draw.
 
 X = log(Y) with Y exponential(rate) has cdf 1 - exp(-rate * e^x) on the whole
 real line and a heavy lower tail, which makes it a convenient stress model
@@ -8,7 +8,9 @@ chosen point is exactly the p-quantile.
 All sampling is inverse-CDF on uniforms drawn from the open interval (0, 1),
 so every draw is finite and every draw sequence is a pure function of
 (seed, stream path).  The uniforms are u = k * 2^-53 for exact integers k in
-1..2^53-1 (a 53-bit lattice that excludes both endpoints).
+1..2^53-1 (a 53-bit lattice that excludes both endpoints).  `normal_draw`
+inverts the prior's CDF at one with `statistics.NormalDist.inv_cdf`, Wichura's
+AS 241 (1988), whose C and pure-Python forms round alike.
 
 `LogExponential.lowest(n, k, rng)` returns the k smallest of the n draws that
 `sample(n, rng)` makes, bit for bit, without transforming or sorting the
@@ -27,13 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from .bayes import PriorBelief
 from .errors import DomainError, integer, real
 from .estimators import check_p, check_size, smallest
-from .special_functions import normal_quantile
 
 __all__ = [
     "RngStream",
@@ -193,4 +195,4 @@ def asymptotic_variance(p: float, n: int, density_at_quantile: float) -> float:
 def normal_draw(prior: PriorBelief, rng: RngStream) -> float:
     """One N(mean, variance) draw by inverse CDF on a single open uniform."""
     u = float(_unit(_lattice(rng.generator())))
-    return prior.mean + math.sqrt(prior.variance) * normal_quantile(u)
+    return NormalDist(prior.mean, math.sqrt(prior.variance)).inv_cdf(u)

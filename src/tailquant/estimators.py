@@ -27,6 +27,8 @@ __all__ = [
     "min_sample_size",
 ]
 
+_MAX_SIZE = int(np.iinfo(np.intp).max)  # numpy holds an array length in an intp
+
 
 def check_p(p: float) -> float:
     """The probability level p as a float; raises unless 0 < p < 1."""
@@ -54,12 +56,15 @@ def smallest(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def check_size(n: int) -> int:
-    """The sample size n as an int; raises unless it is an integer >= 1."""
+    """The sample size n as an int; raises unless it is an integer in 1.._MAX_SIZE."""
     size = integer(n)
     if isinstance(size, float):
         raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
     if size < 1:
         raise DomainError(f"sample size must be >= 1, got {n!r}")
+    if size > _MAX_SIZE:
+        bits = size.bit_length()  # its digits may run to thousands
+        raise DomainError(f"sample size must be at most {_MAX_SIZE}, got a {bits}-bit integer")
     return size
 
 

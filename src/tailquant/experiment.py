@@ -32,7 +32,7 @@ import numpy as np
 from .bayes import PriorBelief, conjugate_update
 from .bootstrap import bootstrap_weights, tail_variance
 from .distributions import RngStream, asymptotic_variance, normal_draw, rate_for_quantile
-from .errors import ConfigError, DomainError, EmptyInput, integer, real
+from .errors import ConfigError, DomainError, EmptyInput, InsufficientSamples, integer, real
 from .estimators import min_sample_size, quantile_rank
 
 __all__ = [
@@ -131,11 +131,16 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", methods)
         for p in p_values:
             for n in self.sizes_for(p):
-                if math.floor(n * p) < 1:
+                try:
+                    quantile_rank(n, p)
+                except InsufficientSamples:
                     raise ConfigError(
                         f"(p={p:g}, n={n}) has floor(n*p) = 0; "
                         f"need n >= {min_sample_size(p)} for p = {p:g}"
-                    )
+                    ) from None
+                except DomainError as exc:
+                    # the size check: an explicit n, or the default grid's smallest
+                    raise ConfigError(f"{exc} (p = {p:g})") from None
 
     def sizes_for(self, p: float) -> tuple[int, ...]:
         return self.sample_sizes if self.sample_sizes is not None else _default_sizes(p)

@@ -1,11 +1,14 @@
+import itertools
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailquant.bayes import PosteriorBelief, PriorBelief, posterior
+from tailquant.bayes import PosteriorBelief, PriorBelief, conjugate_update, posterior
 from tailquant.bootstrap import bootstrap_variance
 from tailquant.errors import DomainError
 from tailquant.estimators import min_sample_size, sample_quantile
@@ -126,6 +129,55 @@ class TestPosterior:
         ]
         assert all(b < a for a, b in zip(distances, distances[1:]))
 
+
+def exact_update(mu, s2, xhat, sn2):
+    """(mean, variance, prior weight) of the conjugate update in exact rational arithmetic."""
+    mu, s2, xhat, sn2 = map(Fraction, (mu, s2, xhat, sn2))
+    w = sn2 / (s2 + sn2)
+    return w * mu + (1 - w) * xhat, s2 * w, w
+
+
+# variances near the float maximum: most pairs sum past it, some do not; the
+# float maximum plus half its ulp is a tie that rounds up and overflows, and
+# plus the float below that half ulp it rounds down to the maximum
+HALF_ULP = math.ulp(sys.float_info.max) / 2.0
+NEAR_MAX = [sys.float_info.max, 1.7e308, 1.6e308, 1.2e308, 9e307, 4.6e307, 1e307,
+            HALF_ULP, math.nextafter(HALF_ULP, 0.0)]
+
+
+class TestVariancesPastTheFloatRange:
+    @pytest.mark.parametrize("mu,xhat", [(0.0, 1.0), (-1e154, 0.0), (3.0, -1e300), (1e308, -1e308)])
+    def test_matches_the_exact_update(self, mu, xhat):
+        for s2, sn2 in itertools.product(NEAR_MAX, repeat=2):
+            belief = posterior(PriorBelief(mu, s2), xhat, sn2)
+            mean, variance, weight = exact_update(mu, s2, xhat, sn2)
+            # a few roundings each: the weight's division and sum, then one
+            # product for the variance and two products and a sum for the mean
+            assert abs(belief.prior_weight - weight) <= 1e-15 * weight
+            assert abs(belief.variance - variance) <= 1e-15 * variance
+            assert abs(belief.mean - mean) <= 1e-15 * (abs(mu) + abs(xhat))
+
+    def test_a_finite_sum_keeps_the_bits_of_the_plain_formula(self):
+        for s2, sn2 in itertools.product(NEAR_MAX + [1.0, 1e-300], repeat=2):
+            if math.isinf(s2 + sn2):
+                continue
+            w = sn2 / (s2 + sn2)
+            belief = posterior(PriorBelief(2.0, s2), -5.0, sn2)
+            assert (belief.mean, belief.variance, belief.prior_weight) == (w * 2.0 + (1.0 - w) * -5.0, s2 * w, w)
+
+    def test_arrays_have_the_bits_of_floats(self):
+        # warnings are errors in this suite, so an overflow warning fails it
+        s2 = 1.6e308
+        sn2 = np.array(NEAR_MAX + [1.0, 0.0])
+        xhat = np.linspace(-1e300, 1e300, sn2.size)
+        arrays = conjugate_update(0.5, s2, xhat, sn2)
+        for i in range(sn2.size):
+            belief = posterior(PriorBelief(0.5, s2), float(xhat[i]), float(sn2[i]))
+            assert (belief.mean, belief.variance, belief.prior_weight) == tuple(float(a[i]) for a in arrays)
+
+    def test_the_shown_case(self):
+        belief = posterior(PriorBelief(0.0, 1.7e308), 1.0, 1.7e308)
+        assert (belief.mean, belief.variance, belief.prior_weight) == (0.5, 8.5e307, 0.5)
 
 # Discrete samples: a few distinct values, each repeated, so that every
 # observation the bootstrap weighs can be tied with the sample quantile.

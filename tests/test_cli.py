@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,24 @@ class TestEstimate:
         pairs = parse_kv(out)
         assert 0.0 < float(pairs["prior_weight"]) < 1.0
         assert float(pairs["posterior_variance"]) < 4.0
+
+    def test_variances_summing_past_the_float_range(self, capsys, tmp_path):
+        # bootstrap variance ~4.6e307 plus prior variance 1.6e308 overflows;
+        # the posterior must still be the exact update, not weight 0
+        path = tmp_path / "wide.txt"
+        path.write_text("-1e154\n" * 50 + "0\n" * 50)
+        code, out, err = run_cli(
+            capsys, "estimate", str(path), "--p-value", "0.5",
+            "--prior-mean", "0", "--prior-var", "1.6e308", "--variance-mode", "bootstrap",
+        )
+        assert (code, err) == (0, "")
+        pairs = parse_kv(out)
+        s2, sn2 = Fraction(1.6e308), Fraction(float(pairs["bootstrap_variance"]))
+        assert float(pairs["quantile"]) == -1e154 and sn2 > 1e307
+        weight = sn2 / (s2 + sn2)
+        assert float(pairs["prior_weight"]) == pytest.approx(float(weight), rel=1e-15)
+        assert float(pairs["posterior_variance"]) == pytest.approx(float(s2 * weight), rel=1e-15)
+        assert float(pairs["posterior_mean"]) == pytest.approx(float((1 - weight) * Fraction(-1e154)), rel=1e-15)
 
     @pytest.mark.parametrize(
         "flags",
@@ -402,6 +421,23 @@ def test_a_size_too_large_for_memory_is_one_line(tmp_path, argv):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
 
+
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        (["weights", "--n", "1" + "0" * 400, "--p-value", "0.05"], "sample size"),
+        (["simulate", "--p", "0.1", "--n", "1" + "0" * 400, "--trials", "1", "--out", "{out}"],
+         "sample size"),
+        (["simulate", "--p", "1e-300", "--trials", "1", "--out", "{out}"], "p = 1e-300"),
+    ],
+    ids=["weights", "simulate", "simulate-default-grid"],
+)
+def test_a_size_larger_than_any_array_is_one_line(capsys, tmp_path, argv, names):
+    argv = [arg.format(out=tmp_path / "out.csv") for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err) <= 201
+    assert err.startswith("error: ") and names in err
 
 @pytest.mark.parametrize("p", ["1e-300", "5e-324"])
 @pytest.mark.parametrize(

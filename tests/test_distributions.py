@@ -1,9 +1,17 @@
+import json
 import math
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import tailquant
+import tailquant.distributions as distributions
 from tailquant.bayes import PriorBelief
 from tailquant.bootstrap import bootstrap_weights
 from tailquant.distributions import (
@@ -258,3 +266,102 @@ class TestNormalDraw:
             PriorBelief(0.0, 0.0)
         with pytest.raises(DomainError):
             PriorBelief(math.nan, 1.0)
+
+
+# The pinned bits of the prior draw: k is the lattice integer of the uniform
+# u = k * 2^-53, then float.hex of the standard normal quantile at u and of
+# the N(-3, 2.5) draw at u.  They were recorded from the package's own copy
+# of Wichura's PPND16, which the draw used before it called
+# `statistics.NormalDist.inv_cdf`, the same algorithm (AS 241) evaluated in
+# the same operations.  The rows cover u = 2^-53 and 1 - 2^-53, the far
+# tail below exp(-25) ~ 1.4e-11, the tail, the last tail and first central
+# lattice points at both edges of the central branch, |u - 0.5| <= 0.425,
+# and u = 0.5.
+PINNED_DRAWS = [
+    (1, "-0x1.06b48528cea51p+3", "-0x1.ff5f922f70b1bp+3"),
+    (3, "-0x1.02734508d1f1cp+3", "-0x1.f8a55096569f7p+3"),
+    (8192, "-0x1.c30d8560989abp+2", "-0x1.c496abf2f9c21p+3"),
+    (9007, "-0x1.c2350895b2ea4p+2", "-0x1.c3eb85f72f195p+3"),
+    (9007199255, "-0x1.30381a97985f1p+2", "-0x1.5081a0cf61c7ap+3"),
+    (90071992547410, "-0x1.29c5c4630ff0ep+1", "-0x1.ab68ec2352238p+2"),
+    (675539944105574, "-0x1.7085226d3e524p+0", "-0x1.51ab9b957f62ep+2"),
+    (675539944105575, "-0x1.7085226d3e521p+0", "-0x1.51ab9b957f62dp+2"),
+    (676440664031048, "-0x1.7056dc6686c9cp+0", "-0x1.51995107ece11p+2"),
+    (2702159776422298, "-0x1.0c7e39582c5fap-1", "-0x1.ea21966eff545p+1"),
+    (4503599627370496, "0x0.0p+0", "-0x1.8000000000000p+1"),
+    (8331659310635417, "0x1.7085226d3e521p+0", "-0x1.72a3235404e98p-1"),
+    (8331659310635418, "0x1.7085226d3e524p+0", "-0x1.72a3235404e90p-1"),
+    (8917127262193582, "0x1.29c5c4630ff0ep+1", "0x1.5b47611a911c0p-1"),
+    (2**53 - 9007, "0x1.c2350895b2ea4p+2", "0x1.03eb85f72f195p+3"),
+    (2**53 - 1, "0x1.06b48528cea51p+3", "0x1.3f5f922f70b1bp+3"),
+]
+# normal_draw(PriorBelief(1.5, 0.7), RngStream(2024, (i, 3))) for i = 0..3,
+# recorded the same way: the generator and the lattice on top of the quantile
+PINNED_STREAM_DRAWS = [
+    "0x1.a1fa2db8c2676p+0", "0x1.474f39e06d2d0p+0", "0x1.7beb05b97e47fp+0", "0x1.3b94ea2272576p+0",
+]
+
+
+def pinned_draw_bits() -> dict:
+    """float.hex of every pinned draw through `normal_draw`, with `_lattice` held at each k."""
+    lattice = distributions._lattice
+    standard, prior = PriorBelief(0.0, 1.0), PriorBelief(-3.0, 2.5)
+    bits = {"z": [], "x": []}
+    try:
+        for k, _, _ in PINNED_DRAWS:
+            distributions._lattice = lambda gen, size=None, k=k: np.int64(k)
+            bits["z"].append(normal_draw(standard, RngStream(0)).hex())
+            bits["x"].append(normal_draw(prior, RngStream(0)).hex())
+    finally:
+        distributions._lattice = lattice
+    bits["stream"] = [
+        normal_draw(PriorBelief(1.5, 0.7), RngStream(2024, (i, 3))).hex() for i in range(4)
+    ]
+    bits["inv_cdf_module"] = statistics._normal_dist_inv_cdf.__module__
+    return bits
+
+
+# runs `pinned_draw_bits` in a fresh interpreter whose `statistics` cannot
+# import its C accelerator, so it falls back to its pure-Python AS 241
+_FALLBACK_CHILD = """
+import importlib.util, json, sys
+sys.modules["_statistics"] = None
+spec = importlib.util.spec_from_file_location("pinned", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+print(json.dumps(module.pinned_draw_bits()))
+"""
+
+
+class TestPriorDrawBits:
+    """The prior draw keeps the bits of the PPND16 it replaced, in both of CPython's AS 241s."""
+
+    def expected(self, inv_cdf_module: str) -> dict:
+        return {
+            "z": [z for _, z, _ in PINNED_DRAWS],
+            "x": [x for _, _, x in PINNED_DRAWS],
+            "stream": PINNED_STREAM_DRAWS,
+            "inv_cdf_module": inv_cdf_module,
+        }
+
+    def test_the_lattice_covers_every_branch(self):
+        us = [k * 2.0**-53 for k, _, _ in PINNED_DRAWS]
+        assert us[0] == 2.0**-53 and us[-1] == 1.0 - 2.0**-53
+        assert sum(u < math.exp(-25.0) for u in us) == 4
+        central = [abs(u - 0.5) <= 0.425 for u in us]
+        assert sum(central) == 5
+        # the edges: each central run is flanked by a tail point one k away
+        edges = [i for i in range(1, len(us)) if central[i] != central[i - 1]]
+        assert [PINNED_DRAWS[i][0] - PINNED_DRAWS[i - 1][0] for i in edges] == [1, 1]
+
+    def test_c_accelerator_gives_the_pinned_bits(self):
+        assert pinned_draw_bits() == self.expected("_statistics")
+
+    def test_pure_python_fallback_gives_the_pinned_bits(self):
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPATH": str(Path(tailquant.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _FALLBACK_CHILD, __file__],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert json.loads(proc.stdout) == self.expected("statistics")

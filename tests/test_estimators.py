@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tailquant.errors import DomainError, InsufficientSamples
 from tailquant.estimators import (
     check_p,
+    check_size,
     min_sample_size,
     observations,
     quantile_rank,
@@ -170,6 +171,15 @@ class TestRankHelpers:
             min_sample_size(p)
         with pytest.raises(InsufficientSamples, match=r"no n can resolve .* \(got n = 5\)"):
             quantile_rank(5, p)
+
+    def test_sizes_up_to_the_largest_array_index(self):
+        largest = int(np.iinfo(np.intp).max)
+        assert check_size(largest) == largest
+        assert quantile_rank(largest, 0.5) == (largest + 1) // 2
+        for n in (largest + 1, 10**400):
+            # n * p would raise OverflowError once n is past the float range
+            with pytest.raises(DomainError, match=f"sample size must be at most {largest}, got a"):
+                quantile_rank(n, 0.5)
 
     def test_quantile_rank_uses_float_product_as_represented(self):
         # 10 * 0.3 rounds up to exactly 3.0; the rule honors the represented product

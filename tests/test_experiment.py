@@ -143,6 +143,16 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=rf"sample_sizes must be integers >= 1, got {size!r}"):
             ExperimentConfig(p_values=(0.1,), sample_sizes=(size,), trials=2)
 
+    @pytest.mark.parametrize(
+        "sizes,p,message",
+        [((2**63,), 0.1, r"sample size must be at most \d+, got a 64-bit integer \(p = 0\.1\)"),
+         (None, 1e-300, r"sample size must be at most .*, got a 997-bit integer \(p = 1e-300\)")],
+        ids=["explicit", "default-grid"],
+    )
+    def test_rejects_a_size_larger_than_any_array(self, sizes, p, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(p_values=(p,), sample_sizes=sizes, trials=2)
+
     def test_rejects_unknown_method(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(methods=("sample", "oracle"))
