@@ -93,5 +93,8 @@ def conjugate_update(mu, s2, xhat, sn2):
     scale = 1.0 - 0.5 * (0.5 * s2 + 0.5 * sn2 > 0.5 * sys.float_info.max)
     w = (scale * sn2) / (scale * s2 + scale * sn2)
     # s2 * sn2 / (s2 + sn2) as s2 * w, so that the product cannot overflow;
-    # unlike 1/(1/s2 + 1/sn2) it is defined at sn2 = 0
-    return w * mu + (1.0 - w) * xhat, s2 * w, w
+    # unlike 1/(1/s2 + 1/sn2) it is defined at sn2 = 0.  Where w underflows
+    # below the normal range it is taken as sn2 * (1 - w), the same quantity;
+    # both products are finite, so the 0/1 factors select either exactly
+    tiny = w < sys.float_info.min
+    return w * mu + (1.0 - w) * xhat, (1.0 - tiny) * (s2 * w) + tiny * (sn2 * (1.0 - w)), w

@@ -15,10 +15,18 @@ x_(r).
 
 Each weight is the mass of the Beta(r, n-r+1) density f over its cell, an
 8-point Gauss-Legendre sum, which is exact to rounding because f is smooth
-on a cell of width 1/n.  The mass sits in a window of about r +/- c*sqrt(r)
-cells, so only a block of cells around r is evaluated, in one array.
-Starting at CDF index r, the walk goes down until I_{lo/n} < _MASS_FLOOR (or
-lo = 0) and up until 1 - I_{hi/n} < _MASS_FLOOR (or hi = n).  Every cell
+on a cell of width 1/n.  f is taken relative to `log_beta_density`, log
+f(r/n), in Loader's saddle-point form: f(x) equals n * dbinom(r-1; n-1, x),
+and Loader (2000, "Fast and Accurate Computation of Binomial
+Probabilities") writes dbinom through the Stirling-series error `_stirlerr`
+and the deviance term `_bd0`, so no log-gamma of size n*log(n) is formed
+and differenced.
+
+The mass sits in a window of about r +/- c*sqrt(r) cells, so only one block
+of cells, r +/- (9*isqrt(r) + 40), is evaluated, in one array.  Starting at
+CDF index r, the walk goes down until I_{lo/n} < _MASS_FLOOR (or lo = 0)
+and up until 1 - I_{hi/n} < _MASS_FLOOR (or hi = n), and two tail bounds
+put both stops inside the block (see `_window_weights`).  Every cell
 outside (lo, hi] then has a mass below the floor, which the weights zero
 anyway, so the cost grows with r, not with n.
 The variance needs only x_(lo+1..hi) and x_(r), so `tail_variance`
@@ -40,7 +48,6 @@ import numpy as np
 
 from .errors import DomainError, integer
 from .estimators import check_size, observations, quantile_rank, smallest
-from .special_functions import log_beta_density
 
 __all__ = [
     "BootstrapWeights",
@@ -48,6 +55,11 @@ __all__ = [
     "bootstrap_variance",
     "tail_variance",
 ]
+
+_LN_2PI = math.log(2.0 * math.pi)
+
+# Stirling series coefficients 1/12, 1/360, 1/1260, 1/1680, 1/1188
+_STIRLING = (1.0 / 12.0, 1.0 / 360.0, 1.0 / 1260.0, 1.0 / 1680.0, 1.0 / 1188.0)
 
 # A cell mass below this level is set to 0, and the window ends where the
 # mass beyond it falls below it.
@@ -104,6 +116,54 @@ class BootstrapWeights:
         return w
 
 
+def _stirlerr(k: int) -> float:
+    """log(k!) - log(sqrt(2 pi k) (k/e)^k), the error of Stirling's formula; 0 at k = 0."""
+    if k == 0:
+        return 0.0
+    if k <= 15:
+        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - 0.5 * _LN_2PI
+    # the series, cut where its next term is below 1e-17 (Loader's cutoffs)
+    terms = 2 if k > 500 else 3 if k > 80 else 4 if k > 35 else 5
+    kk, s = float(k) * k, 0.0
+    for c in reversed(_STIRLING[:terms]):
+        s = c - s / kk
+    return s / k
+
+
+def _bd0(x: float, m: float) -> float:
+    """x*log(x/m) + m - x, by its series in (x-m)/(x+m) where the terms would cancel."""
+    if abs(x - m) < 0.1 * (x + m):
+        v = (x - m) / (x + m)
+        s, ej, j = (x - m) * v, 2.0 * x * v, 1
+        while True:
+            ej *= v * v
+            j += 2
+            term = s + ej / j
+            if term == s:
+                return s
+            s = term
+    return (x * math.log(x / m) if x else 0.0) + m - x
+
+
+def log_beta_density(n: int, r: int) -> float:
+    """log f(r/n) for the Beta(r, n-r+1) density f and integers 1 <= r <= n.
+
+    f(r/n) = n * dbinom(k; m, r/n) with k = r-1 and m = n-1, and Loader's
+    form of dbinom is exp(stirlerr(m) - stirlerr(k) - stirlerr(m-k)
+    - bd0(k, m*r/n) - bd0(m-k, m*(n-r)/n)) / sqrt(2 pi k (m-k) / m), whose
+    square root is dropped at k = 0 and k = m, where the binomial mass is a
+    single power.
+    """
+    m, k = n - 1, r - 1
+    value = (
+        math.log(n) + _stirlerr(m) - _stirlerr(k) - _stirlerr(m - k)
+        - _bd0(k, m * r / n) - _bd0(m - k, m * (n - r) / n)
+    )
+    if 0 < k < m:
+        value -= 0.5 * (_LN_2PI + math.log(k * (m - k) / m))
+    return value
+
+
 def _cell_masses(n: int, r: int, log_f0: float, first: int, last: int) -> np.ndarray:
     """The masses of the Beta(r, n-r+1) density f over cells first..last, ((i-1)/n, i/n].
 
@@ -126,35 +186,27 @@ def _cell_masses(n: int, r: int, log_f0: float, first: int, last: int) -> np.nda
 
 @functools.lru_cache(maxsize=16)
 def _window_weights(n: int, r: int) -> BootstrapWeights:
-    log_f0 = log_beta_density(n, r)
-    # Masses are evaluated on a block of cells base+1..top, and a side that
-    # the walk runs off doubles.  At CDF index j, I is the sum of the masses
-    # from the block's lower edge and 1 - I the sum to its top edge, so the
-    # walk never reads a difference of two numbers near 1; an edge inside
-    # 0..n is not a stop, because the mass beyond it is not in those sums.
-    # The first block reaches 9*isqrt(r) + 40 cells either side of r: below r
-    # the binomial Chernoff bound exp(-t^2 / 2r) puts the CDF under 1e-17
-    # there, and no window of the r of n <= 399, 1000 and 2000, or of the
-    # benchmark's estimate inputs, has used more than 0.86 of it.
-    step = 9 * math.isqrt(r) + 40
-    base, top = max(0, r - step), min(n, r + step)
-    mass = _cell_masses(n, r, log_f0, base + 1, top)
-    while True:  # down from r: lo is the first cell with I < floor, or 0
-        cdf = np.concatenate(([0.0], np.cumsum(mass)))
-        stops = np.flatnonzero(cdf[r - base : None if base == 0 else 0 : -1] < _MASS_FLOOR)
-        if stops.size:
-            break
-        grown = max(0, 2 * base - r)
-        mass, base = np.concatenate([_cell_masses(n, r, log_f0, grown + 1, base), mass]), grown
-    lo = r - int(stops[0])
-    while True:  # up from r: hi is the first cell with 1 - I < floor, or n
-        tail = np.concatenate((np.cumsum(mass[::-1])[::-1], [0.0]))
-        stops = np.flatnonzero(tail[r - base : None if top == n else -1] < _MASS_FLOOR)
-        if stops.size:
-            break
-        grown = min(n, 2 * top - r)
-        mass, top = np.concatenate([mass, _cell_masses(n, r, log_f0, top + 1, grown)]), grown
-    hi = r + int(stops[0])
+    # Masses are evaluated on one block of cells base+1..top, s cells either
+    # side of r.  At CDF index j, I is the sum of the masses from the block's
+    # lower edge and 1 - I the sum to its top edge, so the walk never reads a
+    # difference of two numbers near 1.  lo is the first index down from r
+    # with I < floor, and hi the first up from r with 1 - I < floor; an edge
+    # of the block is a stop only at 0 or n, because the mass beyond it is
+    # not in those sums.  The first cell inside an edge holds less mass than
+    # the Beta's tail from its inner side, so it is a stop:
+    # - below r, Bernstein's inequality gives
+    #   P(Bin(n, (r-s+1)/n) >= r) <= exp(-(s-1)^2 / 2r);
+    # - above r, the binomial Chernoff bound, with n*KL >= k*log(k/mu) + mu - k,
+    #   gives P(Bin(n, (r+s-1)/n) <= r-1) <= exp(-(s - (r-1)*log1p(s/(r-1)))),
+    #   exp(-s) at r = 1.  Both exponents are >= 40.5 for every r: a mass
+    #   under 2.6e-18, about 400 times below _MASS_FLOOR.
+    s = 9 * math.isqrt(r) + 40
+    base, top = max(0, r - s), min(n, r + s)
+    mass = _cell_masses(n, r, log_beta_density(n, r), base + 1, top)
+    cdf = np.concatenate(([0.0], np.cumsum(mass)))
+    tail = np.concatenate((np.cumsum(mass[::-1])[::-1], [0.0]))
+    lo = r - int(np.flatnonzero(cdf[r - base : None if base == 0 else 0 : -1] < _MASS_FLOOR)[0])
+    hi = r + int(np.flatnonzero(tail[r - base : None if top == n else -1] < _MASS_FLOOR)[0])
     window = mass[lo - base : hi - base]
     window[window < _MASS_FLOOR] = 0.0
     window.flags.writeable = False

@@ -227,11 +227,6 @@ def cell_stream(seed: int, p: float, n: int, sigma2: float) -> RngStream:
     return RngStream(seed, (_float_bits(p), int(n), _float_bits(sigma2)))
 
 
-def trial_stream(seed: int, p: float, n: int, sigma2: float, trial: int) -> RngStream:
-    """The substream owned by one (cell, trial)."""
-    return cell_stream(seed, p, n, sigma2).child(trial)
-
-
 def _run_cell(config: ExperimentConfig, cell: tuple[float, int, float]) -> dict[Method, float]:
     """RMSE per requested method of one grid cell: the trials' draws, then the methods on arrays."""
     p, n, sigma2 = cell

@@ -162,13 +162,17 @@ class TestVariancesPastTheFloatRange:
             if math.isinf(s2 + sn2):
                 continue
             w = sn2 / (s2 + sn2)
+            # below the normal range the variance is sn2 * (1 - w) instead
+            # (TestPriorWeightBelowTheNormalRange)
+            variance = s2 * w if w >= sys.float_info.min else sn2 * (1.0 - w)
             belief = posterior(PriorBelief(2.0, s2), -5.0, sn2)
-            assert (belief.mean, belief.variance, belief.prior_weight) == (w * 2.0 + (1.0 - w) * -5.0, s2 * w, w)
+            assert (belief.mean, belief.variance, belief.prior_weight) == (w * 2.0 + (1.0 - w) * -5.0, variance, w)
 
     def test_arrays_have_the_bits_of_floats(self):
-        # warnings are errors in this suite, so an overflow warning fails it
+        # warnings are errors in this suite, so an overflow warning fails it;
+        # at sn2 = 1.0 and 1e-300 the prior weight is below the normal range
         s2 = 1.6e308
-        sn2 = np.array(NEAR_MAX + [1.0, 0.0])
+        sn2 = np.array(NEAR_MAX + [1.0, 1e-300, 0.0])
         xhat = np.linspace(-1e300, 1e300, sn2.size)
         arrays = conjugate_update(0.5, s2, xhat, sn2)
         for i in range(sn2.size):
@@ -178,6 +182,25 @@ class TestVariancesPastTheFloatRange:
     def test_the_shown_case(self):
         belief = posterior(PriorBelief(0.0, 1.7e308), 1.0, 1.7e308)
         assert (belief.mean, belief.variance, belief.prior_weight) == (0.5, 8.5e307, 0.5)
+
+
+# a sample variance tiny against the prior's: the prior weight sn2/(s2+sn2)
+# is subnormal or 0, and s2 * w would inherit its lost bits
+TINY_WEIGHT = [(1e300, 1e-300), (1e10, 1e-300), (1.7e308, 1.0), (1.0, 1e-310),
+               (3.0, 5e-324), (1e308, 1e-10), (2.0, 4.4e-308)]
+
+
+class TestPriorWeightBelowTheNormalRange:
+    @pytest.mark.parametrize("s2,sn2", TINY_WEIGHT)
+    def test_variance_is_correctly_rounded(self, s2, sn2):
+        belief = posterior(PriorBelief(0.0, s2), 1.0, sn2)
+        mean, variance, _ = exact_update(0.0, s2, 1.0, sn2)
+        assert belief.prior_weight < sys.float_info.min
+        # the exact variance is sn2 * (1 - w) with w < 2^-1022, so sn2 is its
+        # nearest float
+        assert belief.variance == float(variance) == sn2
+        assert belief.mean == float(mean) == 1.0
+
 
 # Discrete samples: a few distinct values, each repeated, so that every
 # observation the bootstrap weighs can be tied with the sample quantile.

@@ -15,12 +15,12 @@ from tailquant.bootstrap import (
     _window_weights,
     bootstrap_variance,
     bootstrap_weights,
+    log_beta_density,
     tail_variance,
 )
 from tailquant.distributions import RngStream, rate_for_quantile
 from tailquant.errors import DomainError, InsufficientSamples
 from tailquant.estimators import quantile_rank, sample_quantile
-from tailquant.special_functions import log_beta_density
 
 
 def quadrature_weights(n: int, r: int) -> np.ndarray:
@@ -157,8 +157,8 @@ class TestWeightWindow:
 
     @pytest.mark.parametrize("n,r", window_grid() + [(10**5, 1000), (10**6, 5 * 10**5), (10**7, 10**5)])
     def test_bit_identical_to_the_scalar_walk(self, n, r):
-        # the block, its doubling and the CDF sums from the block's edges
-        # give the lo, hi and weights of a cell-by-cell walk
+        # the block and the CDF sums from its edges give the lo, hi and
+        # weights of a cell-by-cell walk
         lo, expected = walk_window(n, r)
         weights = bootstrap_weights(n, r)
         assert (weights.lo, weights.hi) == (lo, lo + expected.size)
@@ -181,26 +181,52 @@ class TestWeightWindow:
         assert abs(float(weights.window.sum()) - 1.0) <= 1e-12
         assert weights.lo < r <= weights.hi
 
-    @pytest.mark.parametrize("n,r", [(9973, 99), (30_000, 15_000), (1000, 500), (10**5, 1000)])
-    def test_a_grown_block_gives_the_same_window(self, monkeypatch, n, r):
-        expected = bootstrap_weights(n, r).window.tobytes()
-
-        class NoSqrt:  # shrinks the first block to r +/- 40, which these windows overrun
-            isqrt = staticmethod(lambda r: 0)
-
-            def __getattr__(self, name):
-                return getattr(math, name)
-
+    def test_one_block_holds_every_window(self, monkeypatch):
+        # the kernel is called once per window, on r +/- (9*isqrt(r) + 40)
+        cases = {(n, r) for n in (1, 2, 3, 40, 41, 1000, 9973, 10**5, 10**7) for r in (1, 2, n - 1, n) if 1 <= r <= n}
+        for n in np.unique(np.logspace(0, 7, 36).astype(int)).tolist():
+            cases.update({(n, r) for r in (math.floor(n * 0.01), math.floor(n * 0.001), n // 2) if r >= 1})
         blocks = []
         evaluate = bootstrap._cell_masses
-        monkeypatch.setattr(bootstrap, "math", NoSqrt())
         monkeypatch.setattr(bootstrap, "_cell_masses", lambda *args: blocks.append(args) or evaluate(*args))
         _window_weights.cache_clear()
         try:
-            assert bootstrap_weights(n, r).window.tobytes() == expected
+            for n, r in sorted(cases):
+                blocks.clear()
+                weights = bootstrap_weights(n, r)
+                step = 9 * math.isqrt(r) + 40
+                assert [args[-2:] for args in blocks] == [(max(0, r - step) + 1, min(n, r + step))]
+                assert weights.lo < r <= weights.hi
         finally:
             _window_weights.cache_clear()
-        assert len(blocks) > 1
+
+    def test_the_tail_bounds_put_both_stops_in_the_block(self):
+        # the exponents of the two bounds in `_window_weights`, pure math: the
+        # Bernstein bound below r and the Chernoff bound above r, each >= 40.5
+        # in exact arithmetic (1e-5 covers the rounding at r = 1e18)
+        def below(r):
+            s = 9 * math.isqrt(r) + 40
+            return (s - 1) ** 2 / (2 * r)
+
+        def above(r):
+            s = 9 * math.isqrt(r) + 40
+            return s if r == 1 else s - (r - 1) * math.log1p(s / (r - 1))
+
+        ranks = list(range(1, 10**5 + 1)) + [10**k + d for k in range(6, 19) for d in (-1, 0, 1)]
+        assert min(below(r) for r in ranks) >= 40.5
+        assert min(above(r) for r in ranks) >= 40.5 - 1e-5
+        assert math.exp(-40.5) < _MASS_FLOOR / 380
+
+    @pytest.mark.parametrize("n", [100, 1000, 9973, 10**5, 10**6])
+    @pytest.mark.parametrize("p", [0.001, 0.01, 0.1, 0.5, 0.99])
+    def test_scipy_puts_no_mass_beyond_the_block(self, n, p):
+        r = max(1, math.floor(n * p))
+        step = 9 * math.isqrt(r) + 40
+        a, b = r, n - r + 1
+        if r > step:
+            assert betainc(a, b, (r - step) / n) < 1e-17
+        if r + step < n:
+            assert betaincc(a, b, (r + step) / n) < 1e-17
 
     @pytest.mark.parametrize("n", [100, 1000, 9973, 30_000])
     @pytest.mark.parametrize("p", [0.01, 0.5, 0.9])

@@ -22,11 +22,11 @@ from tailquant.experiment import (
     Method,
     RmseRow,
     RmseTable,
+    cell_stream,
     parse_config,
     read_config,
     rmse,
     run_experiment,
-    trial_stream,
 )
 
 FAST = dict(
@@ -65,7 +65,7 @@ def reference_experiment(config: ExperimentConfig) -> RmseTable:
         prior = PriorBelief(config.prior_mean, s2)
         squared = {m: [] for m in config.methods}
         for t in range(config.trials):
-            stream = trial_stream(config.seed, p, n, s2, t)
+            stream = cell_stream(config.seed, p, n, s2).child(t)
             x_p, estimates = reference_trial(p, n, prior, config.methods, stream)
             for m in config.methods:
                 squared[m].append((estimates[m] - x_p) ** 2)
@@ -184,7 +184,7 @@ class TestRunTrial:
         # the RMSE of one trial is the root of that trial's squared error, to the bit
         config = one_cell(0.2, 40, 1.0, trials=1, seed=5)
         truth, estimates = reference_trial(
-            0.2, 40, PriorBelief(0.0, 1.0), ALL_METHODS, trial_stream(5, 0.2, 40, 1.0, 0)
+            0.2, 40, PriorBelief(0.0, 1.0), ALL_METHODS, cell_stream(5, 0.2, 40, 1.0).child(0)
         )
         for row in run_experiment(config).rows:
             assert row.rmse == math.sqrt((estimates[row.method] - truth) ** 2)
@@ -202,7 +202,7 @@ class TestRunTrial:
     def test_huge_noise_variance_recovers_prior_mean(self):
         prior = PriorBelief(0.0, 1.0)
         trials = [
-            reference_trial(0.1, 50, prior, (Method.SAMPLE,), trial_stream(17, 0.1, 50, 1.0, t))
+            reference_trial(0.1, 50, prior, (Method.SAMPLE,), cell_stream(17, 0.1, 50, 1.0).child(t))
             for t in range(20)
         ]
         quantiles = np.array([estimates[Method.SAMPLE] for _, estimates in trials])
@@ -222,7 +222,7 @@ class TestRunTrial:
         wins = 0
         for t in range(trials):
             truth, estimates = reference_trial(
-                p, n, prior, ALL_METHODS, trial_stream(29, p, n, 1e-20, t)
+                p, n, prior, ALL_METHODS, cell_stream(29, p, n, 1e-20).child(t)
             )
             assert abs(estimates[Method.BAYES_KNOWN] - prior.mean) < 1e-6
             assert abs(estimates[Method.BAYES_BOOTSTRAP] - prior.mean) < 1e-6
@@ -258,7 +258,7 @@ class TestRunExperiment:
         config = one_cell(0.1, 20, 1.0, trials=1, seed=3)
         table = run_experiment(config)
         truth, estimates = reference_trial(
-            0.1, 20, PriorBelief(0.0, 1.0), config.methods, trial_stream(3, 0.1, 20, 1.0, 0)
+            0.1, 20, PriorBelief(0.0, 1.0), config.methods, cell_stream(3, 0.1, 20, 1.0).child(0)
         )
         for row in table.rows:
             assert row.rmse == pytest.approx(abs(estimates[row.method] - truth), rel=1e-15)

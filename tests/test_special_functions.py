@@ -7,8 +7,7 @@ import pytest
 from scipy import special as sps
 
 import tailquant.bootstrap as bootstrap
-from tailquant.bootstrap import _GL_NODES, _GL_WEIGHTS, bootstrap_weights
-from tailquant.special_functions import _stirlerr, log_beta_density
+from tailquant.bootstrap import _GL_NODES, _GL_WEIGHTS, _stirlerr, bootstrap_weights, log_beta_density
 
 # the standard normal quantile that `distributions.normal_draw` evaluates:
 # the standard library's AS 241 (Wichura's PPND16)
