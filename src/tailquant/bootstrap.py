@@ -15,12 +15,11 @@ x_(r).
 
 Each weight is the mass of the Beta(r, n-r+1) density f over its cell, an
 8-point Gauss-Legendre sum, which is exact to rounding because f is smooth
-on a cell of width 1/n.  f is taken relative to `log_beta_density`, log
-f(r/n), in Loader's saddle-point form: f(x) equals n * dbinom(r-1; n-1, x),
-and Loader (2000, "Fast and Accurate Computation of Binomial
-Probabilities") writes dbinom through the Stirling-series error `_stirlerr`
-and the deviance term `_bd0`, so no log-gamma of size n*log(n) is formed
-and differenced.
+on a cell of width 1/n.  f is taken relative to f(r/n), and the block's
+masses are divided by their own sum, so the constant f(r/n) cancels and is
+never computed.  The true masses sum to exactly 1 over cells 1..n and the
+block misses less than 2 * 2.6e-18 of that, so a normalised weight is its
+true mass times 1/(1 - eps), eps below a twentieth of a rounding unit.
 
 The mass sits in a window of about r +/- c*sqrt(r) cells, so only one block
 of cells, r +/- (9*isqrt(r) + 40), is evaluated, in one array.  Starting at
@@ -55,11 +54,6 @@ __all__ = [
     "bootstrap_variance",
     "tail_variance",
 ]
-
-_LN_2PI = math.log(2.0 * math.pi)
-
-# Stirling series coefficients 1/12, 1/360, 1/1260, 1/1680, 1/1188
-_STIRLING = (1.0 / 12.0, 1.0 / 360.0, 1.0 / 1260.0, 1.0 / 1680.0, 1.0 / 1188.0)
 
 # A cell mass below this level is set to 0, and the window ends where the
 # mass beyond it falls below it.
@@ -116,63 +110,16 @@ class BootstrapWeights:
         return w
 
 
-def _stirlerr(k: int) -> float:
-    """log(k!) - log(sqrt(2 pi k) (k/e)^k), the error of Stirling's formula; 0 at k = 0."""
-    if k == 0:
-        return 0.0
-    if k <= 15:
-        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - 0.5 * _LN_2PI
-    # the series, cut where its next term is below 1e-17 (Loader's cutoffs)
-    terms = 2 if k > 500 else 3 if k > 80 else 4 if k > 35 else 5
-    kk, s = float(k) * k, 0.0
-    for c in reversed(_STIRLING[:terms]):
-        s = c - s / kk
-    return s / k
-
-
-def _bd0(x: float, m: float) -> float:
-    """x*log(x/m) + m - x, by its series in (x-m)/(x+m) where the terms would cancel."""
-    if abs(x - m) < 0.1 * (x + m):
-        v = (x - m) / (x + m)
-        s, ej, j = (x - m) * v, 2.0 * x * v, 1
-        while True:
-            ej *= v * v
-            j += 2
-            term = s + ej / j
-            if term == s:
-                return s
-            s = term
-    return (x * math.log(x / m) if x else 0.0) + m - x
-
-
-def log_beta_density(n: int, r: int) -> float:
-    """log f(r/n) for the Beta(r, n-r+1) density f and integers 1 <= r <= n.
-
-    f(r/n) = n * dbinom(k; m, r/n) with k = r-1 and m = n-1, and Loader's
-    form of dbinom is exp(stirlerr(m) - stirlerr(k) - stirlerr(m-k)
-    - bd0(k, m*r/n) - bd0(m-k, m*(n-r)/n)) / sqrt(2 pi k (m-k) / m), whose
-    square root is dropped at k = 0 and k = m, where the binomial mass is a
-    single power.
-    """
-    m, k = n - 1, r - 1
-    value = (
-        math.log(n) + _stirlerr(m) - _stirlerr(k) - _stirlerr(m - k)
-        - _bd0(k, m * r / n) - _bd0(m - k, m * (n - r) / n)
-    )
-    if 0 < k < m:
-        value -= 0.5 * (_LN_2PI + math.log(k * (m - k) / m))
-    return value
-
-
-def _cell_masses(n: int, r: int, log_f0: float, first: int, last: int) -> np.ndarray:
+def _cell_masses(n: int, r: int, first: int, last: int) -> np.ndarray:
     """The masses of the Beta(r, n-r+1) density f over cells first..last, ((i-1)/n, i/n].
 
-    With u = n*x - r, log f(x) = log f(r/n) + (r-1)*log1p(u/r)
+    With u = n*x - r, log(f(x)/f(r/n)) = (r-1)*log1p(u/r)
     + (n-r)*log1p(-u/(n-r)); a term whose coefficient is 0 is dropped, so
-    r = 1, r = n and n = 1 need no special case.  ``log_f0`` is log f(r/n).
+    r = 1, r = n and n = 1 need no special case.  The masses are in units
+    of f(r/n)/(2n), which `_window_weights` cancels by normalising the block.
     """
     u = (np.arange(first, last + 1) - (r + 0.5))[:, None] + _GL_NODES / 2.0
-    log_f = np.full(u.shape, log_f0)
+    log_f = np.zeros(u.shape)
     if r > 1:
         log_f += (r - 1) * np.log1p(u / r)
     if n > r:
@@ -181,7 +128,7 @@ def _cell_masses(n: int, r: int, log_f0: float, first: int, last: int) -> np.nda
     # symmetric nodes share a weight; a sum in this fixed order gives a cell
     # the same bits in any block, which a BLAS product does not
     pairs = (w * (f[:, k] + f[:, -1 - k]) for k, w in enumerate(_GL_WEIGHTS[:4].tolist()))
-    return sum(pairs) / (2 * n)
+    return sum(pairs)
 
 
 @functools.lru_cache(maxsize=16)
@@ -199,10 +146,12 @@ def _window_weights(n: int, r: int) -> BootstrapWeights:
     # - above r, the binomial Chernoff bound, with n*KL >= k*log(k/mu) + mu - k,
     #   gives P(Bin(n, (r+s-1)/n) <= r-1) <= exp(-(s - (r-1)*log1p(s/(r-1)))),
     #   exp(-s) at r = 1.  Both exponents are >= 40.5 for every r: a mass
-    #   under 2.6e-18, about 400 times below _MASS_FLOOR.
+    #   under 2.6e-18, about 400 times below _MASS_FLOOR.  The block so holds
+    #   all but 5.2e-18 of the total mass 1, and is normalised to its own sum.
     s = 9 * math.isqrt(r) + 40
     base, top = max(0, r - s), min(n, r + s)
-    mass = _cell_masses(n, r, log_beta_density(n, r), base + 1, top)
+    mass = _cell_masses(n, r, base + 1, top)
+    mass /= mass.sum()
     cdf = np.concatenate(([0.0], np.cumsum(mass)))
     tail = np.concatenate((np.cumsum(mass[::-1])[::-1], [0.0]))
     lo = r - int(np.flatnonzero(cdf[r - base : None if base == 0 else 0 : -1] < _MASS_FLOOR)[0])

@@ -41,7 +41,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_observations(path: str) -> list[float]:
     values = []
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a byte-order mark at the start of the file
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -163,13 +163,16 @@ def _non_empty(name, seq):
 
 
 def _elements(name, seq, read, valid, rule):
-    """Each element of a list field through ``read``; raises ConfigError echoing the first invalid one."""
+    """Each element of a list field through ``read``, duplicates dropped in first-occurrence order.
+
+    Raises ConfigError echoing the first invalid element.
+    """
     items = _non_empty(name, seq)
     values = tuple(map(read, items))
     for item, value in zip(items, values):
         if not valid(value):
             raise ConfigError(f"{name} must {rule}, got {item!r}")
-    return values
+    return tuple(dict.fromkeys(values))
 
 
 @dataclass(frozen=True)
@@ -323,4 +326,5 @@ def parse_value(key: str, value: str, source: str):
 
 
 def read_config(path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    # utf-8-sig drops a byte-order mark at the start of the file
+    return parse_config(Path(path).read_text(encoding="utf-8-sig"))

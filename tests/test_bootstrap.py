@@ -2,6 +2,7 @@ import functools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -15,7 +16,6 @@ from tailquant.bootstrap import (
     _window_weights,
     bootstrap_variance,
     bootstrap_weights,
-    log_beta_density,
     tail_variance,
 )
 from tailquant.distributions import RngStream, rate_for_quantile
@@ -37,10 +37,18 @@ def quadrature_weights(n: int, r: int) -> np.ndarray:
     return out
 
 
+def block_edges(n: int, r: int) -> tuple[int, int]:
+    """(base, top): `_window_weights` evaluates cells base+1..top, r +/- (9*isqrt(r) + 40) clipped to 1..n."""
+    s = 9 * math.isqrt(r) + 40
+    return max(0, r - s), min(n, r + s)
+
+
 @functools.lru_cache(maxsize=None)
 def dense_weights(n: int, r: int) -> np.ndarray:
-    """Reference: the cell kernel over all n cells in one block, masses below the floor zeroed."""
-    w = bootstrap._cell_masses(n, r, log_beta_density(n, r), 1, n)
+    """Reference: the cell kernel over all n cells, divided by the evaluated block's sum, masses below the floor zeroed."""
+    w = bootstrap._cell_masses(n, r, 1, n)
+    base, top = block_edges(n, r)
+    w /= w[base:top].sum()
     w[w < _MASS_FLOOR] = 0.0
     return w
 
@@ -65,13 +73,16 @@ def walk_window(n: int, r: int) -> tuple[int, np.ndarray]:
     it.  Each side is walked until a cell's mass is below 1e-40, where the
     rest of that tail cannot move a CDF value near the 1e-15 floor by an ulp,
     or to the edge; I_j and 1 - I_j are then summed inwards from the far end.
+    Each mass is divided by the total of the evaluated block, summed from
+    single-cell evaluations.
     """
-    log_f0 = log_beta_density(n, r)
+    base, top = block_edges(n, r)
+    total = float(np.array([bootstrap._cell_masses(n, r, i, i)[0] for i in range(base + 1, top + 1)]).sum())
 
     def side(cells) -> list[float]:
         masses = []
         for i in cells:
-            masses.append(float(bootstrap._cell_masses(n, r, log_f0, i, i)[0]))
+            masses.append(float(bootstrap._cell_masses(n, r, i, i)[0]) / total)
             if masses[-1] < 1e-40:
                 break
         return masses
@@ -169,10 +180,10 @@ class TestWeightWindow:
         weights = bootstrap_weights(n, r)
         # The 8-point rule is exact to rounding on a cell of width 1/n: over
         # this grid a 12-point rule moves no weight by more than 4e-16, and a
-        # 4-point rule by 9e-11.  log f(r/n) is within 1e-14
-        # (test_special_functions), a relative 1e-14 on weights below 1; each
-        # log1p term of size |u| adds about eps*|u| relative, and the weight
-        # is negligible where |u| is large.  The reference rounds the cell
+        # 4-point rule by 9e-11.  Dividing by the block's sum, which misses
+        # under 5.2e-18 of the total 1, adds a few ulps relative; each log1p
+        # term of size |u| adds about eps*|u| relative, and the weight is
+        # negligible where |u| is large.  The reference rounds the cell
         # edges x = i/n to half an ulp, which moves each increment by up to
         # f * ulp(x): 3e-13 at n = 1e7, p = 0.5, where the density f peaks at
         # 2.5e3.  Together this is under 1e-12.
@@ -180,6 +191,27 @@ class TestWeightWindow:
         np.testing.assert_allclose(weights.window, reference, rtol=0.0, atol=1e-12)
         assert abs(float(weights.window.sum()) - 1.0) <= 1e-12
         assert weights.lo < r <= weights.hi
+
+    @pytest.mark.parametrize(
+        "n,r",
+        [
+            (10**7, 1), (10**7, 2), (10**7, 10), (10**7, 16), (10**7, 100), (10**7, 10**7),
+            (10**6, 16), (10**5, 100), (1000, 10), (1000, 999), (30, 15), (10, 5),
+        ],
+    )
+    def test_matches_mpmath_increments(self, n, r):
+        # At small ranks with large n scipy's betainc drifts (2.4e-10 at
+        # (1e7, 16), cell 17), so the reference is 40-digit mpmath, floored
+        # as the package floors; central ranks of large n, where scipy is
+        # accurate, are left out because mpmath does not converge quickly there.
+        weights = bootstrap_weights(n, r)
+        with mpmath.workdps(40):
+            cdf = [mpmath.betainc(r, n - r + 1, 0, mpmath.mpf(j) / n, regularized=True)
+                   for j in range(weights.lo, weights.hi + 1)]
+            reference = np.array([float(b - a) for a, b in zip(cdf, cdf[1:])])
+            assert cdf[0] < _MASS_FLOOR and 1 - cdf[-1] < _MASS_FLOOR
+        reference[reference < _MASS_FLOOR] = 0.0
+        np.testing.assert_allclose(weights.window, reference, rtol=0.0, atol=1e-15)
 
     def test_one_block_holds_every_window(self, monkeypatch):
         # the kernel is called once per window, on r +/- (9*isqrt(r) + 40)

@@ -366,6 +366,32 @@ class TestSimulate:
         assert code == 0
         assert out_path.read_text().splitlines()[1].split(",")[5] == "3"
 
+    def test_duplicate_grid_values_make_one_cell(self, capsys, tmp_path):
+        # each list keeps its first occurrence of a value, 1 and 1.0 alike
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        rest = ("--trials", "2", "--methods", "sample")
+        code, out, _ = run_cli(
+            capsys, "simulate", "--p", "0.1,0.1", "--n", "10,10", "--sigma2", "1,1.0", *rest, "--out", str(twice)
+        )
+        assert code == 0
+        assert len(twice.read_text().splitlines()) == 2
+        assert out.count("sample=") == 1
+        assert run_cli(capsys, "simulate", "--p", "0.1", "--n", "10", "--sigma2", "1", *rest, "--out", str(once))[0] == 0
+        assert twice.read_bytes() == once.read_bytes()
+
+    def test_config_file_may_start_with_a_byte_order_mark(self, capsys, tmp_path):
+        text = b"p_values = 0.1\nsample_sizes = 10\nprior_variances = 1\ntrials = 2\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        outputs = []
+        for cfg in (plain, marked):
+            out_path = tmp_path / f"{cfg.stem}.csv"
+            code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_path))
+            assert (code, err) == (0, "")
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_unknown_config_key_exit_one(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")
@@ -395,6 +421,18 @@ def test_a_file_without_observations_is_one_line_exit_one(capsys, tmp_path, cont
     path.write_text(content, encoding="utf-8")
     code, out, err = run_cli(capsys, "estimate", str(path), "--p-value", "0.5")
     assert (code, out, err) == (1, "", f"error: no observations found in {path}\n")
+
+
+def test_a_byte_order_mark_starts_a_file_but_is_malformed_after(capsys, tmp_path):
+    plain, marked, inside = tmp_path / "plain.txt", tmp_path / "marked.txt", tmp_path / "inside.txt"
+    plain.write_bytes(b"1.0\n2\n3\n")
+    marked.write_bytes(b"\xef\xbb\xbf1.0\n2\n3\n")
+    inside.write_bytes(b"1.0\n\xef\xbb\xbf2\n3\n")
+    expected = run_cli(capsys, "estimate", str(plain), "--p-value", "0.5")
+    assert expected[0] == 0
+    assert run_cli(capsys, "estimate", str(marked), "--p-value", "0.5") == expected
+    code, out, err = run_cli(capsys, "estimate", str(inside), "--p-value", "0.5")
+    assert (code, out, err) == (1, "", "error: malformed input at line 2: '\\ufeff2'\n")
 
 
 def _address_space_of_3_gb():

@@ -1,81 +1,28 @@
 import math
+from fractions import Fraction
 from statistics import NormalDist
 
-import mpmath
 import numpy as np
 import pytest
 from scipy import special as sps
 
 import tailquant.bootstrap as bootstrap
-from tailquant.bootstrap import _GL_NODES, _GL_WEIGHTS, _stirlerr, bootstrap_weights, log_beta_density
+from tailquant.bootstrap import _GL_NODES, _GL_WEIGHTS, bootstrap_weights
 
 # the standard normal quantile that `distributions.normal_draw` evaluates:
 # the standard library's AS 241 (Wichura's PPND16)
 normal_quantile = NormalDist().inv_cdf
 
 
-def mp_log_beta_density(n: int, r: int) -> float:
-    """log of the Beta(r, n-r+1) density at r/n in 40-digit arithmetic."""
-    with mpmath.workdps(40):
-        x = mpmath.mpf(r) / n
-        value = mpmath.loggamma(n + 1) - mpmath.loggamma(r) - mpmath.loggamma(n - r + 1)
-        if r > 1:
-            value += (r - 1) * mpmath.log(x)
-        if n > r:
-            value += (n - r) * mpmath.log1p(-x)
-        return float(value)
-
-
-class TestLogBetaDensity:
-    """Loader's saddle-point form of log f(r/n), the constant of every bootstrap weight."""
-
-    @pytest.mark.parametrize(
-        "n,r",
-        [
-            (1, 1), (2, 1), (10, 5), (30, 15), (1000, 10), (1000, 999), (10**5, 1000),
-            (10**6, 5 * 10**5), (3 * 10**6, 15 * 10**5), (10**7, 16), (10**7, 10**5),
-            (10**7, 5 * 10**6), (10**7, 1), (10**7, 10**7),
-        ],
-    )
-    def test_matches_mpmath(self, n, r):
-        # log f(r/n) is at most about 17, so 1e-14 is a few ulps of it
-        assert abs(log_beta_density(n, r) - mp_log_beta_density(n, r)) <= 1e-14
-
-    def test_stirling_error_matches_mpmath(self):
-        # both branches: the lgamma form for k <= 15 and the series above it
-        for k in list(range(1, 40)) + [80, 81, 500, 501, 10**4, 10**7]:
-            with mpmath.workdps(40):
-                ref = mpmath.loggamma(k + 1) - (k + mpmath.mpf(0.5)) * mpmath.log(k) + k - mpmath.log(2 * mpmath.pi) / 2
-            assert abs(_stirlerr(k) - float(ref)) <= 1e-14
-        assert _stirlerr(0) == 0.0
-
-
-def log_gamma(x: int) -> float:
-    """log Gamma(x) = log (x-1)! for integers x >= 2 in Loader's form: Stirling's formula plus `_stirlerr`."""
-    k = x - 1
-    return (k + 0.5) * math.log(k) - k + 0.5 * math.log(2.0 * math.pi) + _stirlerr(k)
-
-
-class TestLogGamma:
-    """The Stirling error behind log f(r/n), read back as a log-gamma against `math.lgamma`."""
-
-    def test_matches_lgamma_small_arguments(self):
-        # absolute accuracy where ln(Gamma) itself is of moderate size, on
-        # both sides of the switch from lgamma to the series at k = 15
-        for x in range(2, 52):
-            assert log_gamma(x) == pytest.approx(math.lgamma(x), abs=1e-12)
-
-    def test_matches_lgamma_large_arguments(self):
-        # ln(Gamma(1e6)) ~ 1.28e7, so machine-level relative accuracy is the bar;
-        # the series is cut at k = 35, 80 and 500
-        for x in np.unique(np.geomspace(50, 1e6, 300).astype(int)).tolist():
-            assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=5e-15)
-
-
 class TestBetaParams:
     def test_log_beta(self):
-        # log f(1/2) of Beta(3, 4) is log((1/2)^2 (1/2)^3 / B(3, 4)), B(3, 4) = 1/60
-        assert log_beta_density(6, 3) == pytest.approx(5.0 * math.log(0.5) - math.log(1.0 / 60.0), rel=1e-13)
+        # Beta(3, 4) at n = 6: I_x(3, 4) = sum_{j=3..6} C(6, j) x^j (1-x)^(6-j),
+        # so the weights are exact rationals, each I_{i/6} - I_{(i-1)/6}
+        def cdf(x: Fraction) -> Fraction:
+            return sum(math.comb(6, j) * x**j * (1 - x) ** (6 - j) for j in range(3, 7))
+
+        exact = [float(cdf(Fraction(i, 6)) - cdf(Fraction(i - 1, 6))) for i in range(1, 7)]
+        np.testing.assert_allclose(bootstrap_weights(6, 3).w, exact, rtol=0.0, atol=1e-15)
 
 
 def beta_cdf(n: int, r: int) -> np.ndarray:
@@ -142,12 +89,12 @@ class TestRegularizedIncompleteBeta:
         assert np.sum(w[90_000:]) == 0.0  # x = 0.9
 
 
-def scalar_cell_mass(n: int, r: int, log_f0: float, i: int) -> float:
-    """The 8-point Gauss-Legendre mass of cell i, one node at a time in Python floats."""
+def scalar_cell_mass(n: int, r: int, i: int) -> float:
+    """The 8-point Gauss-Legendre mass of cell i relative to f(r/n), one node at a time in Python floats."""
     f = []
     for t in _GL_NODES.tolist():
         u = (i - (r + 0.5)) + t / 2.0
-        log_f = log_f0
+        log_f = 0.0
         if r > 1:
             log_f += (r - 1) * float(np.log1p(np.float64(u / r)))
         if n > r:
@@ -156,7 +103,7 @@ def scalar_cell_mass(n: int, r: int, log_f0: float, i: int) -> float:
     total = 0.0
     for k, w in enumerate(_GL_WEIGHTS[:4].tolist()):
         total += w * (f[k] + f[-1 - k])
-    return total / (2 * n)
+    return total
 
 
 class TestArrayKernel:
@@ -168,15 +115,13 @@ class TestArrayKernel:
             n = int(10.0 ** rng.uniform(0.0, 7.0))
             r = int(rng.integers(1, n + 1))
             i = min(n, max(1, r + int(rng.normal(0.0, 3.0 * math.sqrt(r) + 1.0))))
-            log_f0 = log_beta_density(n, r)
-            assert bootstrap._cell_masses(n, r, log_f0, i, i)[0] == scalar_cell_mass(n, r, log_f0, i)
+            assert bootstrap._cell_masses(n, r, i, i)[0] == scalar_cell_mass(n, r, i)
 
     @pytest.mark.parametrize("n,r", [(49, 20), (63_000, 630), (3000, 1500), (2001, 2001)])
     def test_a_block_of_cells_has_the_bits_of_the_scalar_reference(self, n, r):
-        log_f0 = log_beta_density(n, r)
         cells = np.unique(np.linspace(1, n, 2001).astype(int)).tolist()
-        block = bootstrap._cell_masses(n, r, log_f0, 1, n)
-        expected = np.array([scalar_cell_mass(n, r, log_f0, i) for i in cells])
+        block = bootstrap._cell_masses(n, r, 1, n)
+        expected = np.array([scalar_cell_mass(n, r, i) for i in cells])
         assert block[np.array(cells) - 1].tobytes() == expected.tobytes()
 
 
