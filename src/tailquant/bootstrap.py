@@ -29,9 +29,9 @@ put both stops inside the block (see `_window_weights`).  Every cell
 outside (lo, hi] then has a mass below the floor, which the weights zero
 anyway, so the cost grows with r, not with n.
 The variance needs only x_(lo+1..hi) and x_(r), so `tail_variance`
-takes any ascending array that holds at least x_(1..hi): a simulation trial
-draws only those lowest order statistics, and `bootstrap_variance` passes a
-whole sorted sample.
+takes any ascending array that holds at least x_(1..hi): a simulation cell
+passes the lowest order statistics of all its trials as one block of rows,
+and `bootstrap_variance` the lowest of one sample.
 
 Weights depend only on (n, r), so they are memoized; the cache is a
 transparent, idempotent memo and cannot change results.
@@ -179,25 +179,30 @@ def bootstrap_variance(values, p: float) -> float:
     """
     values = observations(values)
     weights = bootstrap_weights(values.size, quantile_rank(values.size, p))
-    return tail_variance(smallest(values, weights.hi), weights)
+    return float(tail_variance(smallest(values, weights.hi), weights))
 
 
-def tail_variance(tail: np.ndarray, weights: BootstrapWeights) -> float:
+def tail_variance(tail: np.ndarray, weights: BootstrapWeights):
     """Weighted second moment about x_(r) of the sorted observations, window only.
 
     ``tail`` is trusted, not re-validated: an ascending array holding at
-    least x_(1..hi) of the n observations the weights were built for.  Cells
-    whose weight is 0 contribute exactly 0, even where their squared
-    deviation overflows.  Raises DomainError when the weighted moment itself
-    is not finite; otherwise the result is >= 0.
+    least x_(1..hi) of the n observations the weights were built for, or a
+    stack of such rows, which gives one moment per row.  Cells whose weight
+    is 0 contribute exactly 0, even where their squared deviation overflows.
+    Raises DomainError when a weighted moment itself is not finite;
+    otherwise each is >= 0.
     """
     window = weights.window
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = tail[weights.lo : weights.hi] - tail[weights.r - 1]
-        value = float(np.dot(np.where(window > 0.0, dev * dev, 0.0), window))
-    if not math.isfinite(value):
+        dev = tail[..., weights.lo : weights.hi] - tail[..., weights.r - 1 : weights.r]
+        squares = np.where(window > 0.0, dev * dev, 0.0)
+        # one 1 x m by m x 1 product per row: each is the BLAS dot that
+        # np.dot takes on one row, whatever the number of rows; [()] makes
+        # the moment of one row a float, not a 0-d array
+        value = (squares[..., None, :] @ window[:, None])[..., 0, 0][()]
+    if not np.all(np.isfinite(value)):
         raise DomainError(
-            f"bootstrap variance is not finite ({value!r}): "
+            f"bootstrap variance is not finite ({float(np.max(value))!r}): "
             "squared deviations from the sample quantile overflow"
         )
-    return max(value, 0.0)
+    return value

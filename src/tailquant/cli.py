@@ -10,7 +10,7 @@ Exit codes: 0 success, 1 usage or input error, 2 insufficient data.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import itertools
 import re
 import sys
 
@@ -23,6 +23,9 @@ from .experiment import ExperimentConfig, _fmt, parse_value, read_config, run_ex
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INSUFFICIENT = 2
+
+# `weights` lines per write, so memory does not grow with n
+_LINES_PER_WRITE = 2**16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,12 +90,16 @@ def _cmd_estimate(args) -> int:
 def _cmd_weights(args) -> int:
     rank = quantile_rank(args.n, check_p(args.p_value))
     weights = bootstrap_weights(args.n, rank)
-    total = f"sum={_fmt(weights.w.sum())}"  # before any line, so a failure prints none
+    total = f"sum={_fmt(weights.w.sum())}\n"  # before any line, so a failure prints none
     # format(0.0, ".17g") is "0", so only the window needs formatting
-    lines = [f"{i},0" for i in range(1, weights.lo + 1)]
-    lines += [f"{i},{_fmt(w)}" for i, w in enumerate(weights.window.tolist(), start=weights.lo + 1)]
-    lines += [f"{i},0" for i in range(weights.hi + 1, weights.n + 1)]
-    sys.stdout.write("\n".join(lines) + f"\n{total}\n")
+    lines = itertools.chain(
+        (f"{i},0\n" for i in range(1, weights.lo + 1)),
+        (f"{i},{_fmt(w)}\n" for i, w in enumerate(weights.window.tolist(), start=weights.lo + 1)),
+        (f"{i},0\n" for i in range(weights.hi + 1, weights.n + 1)),
+        [total],
+    )
+    while chunk := "".join(itertools.islice(lines, _LINES_PER_WRITE)):
+        sys.stdout.write(chunk)
     return EXIT_OK
 
 
@@ -115,8 +122,8 @@ def _cmd_simulate(args) -> int:
         for flag, (key, _) in _CONFIG_FLAGS.items()
         if getattr(args, key) is not None
     }
-    config = read_config(args.config) if args.config else ExperimentConfig()
-    config = dataclasses.replace(config, **overrides)
+    # the flags replace the file's keys before either is validated
+    config = read_config(args.config, **overrides) if args.config else ExperimentConfig(**overrides)
 
     table = run_experiment(config, workers=args.workers)
     table.write_csv(args.out)

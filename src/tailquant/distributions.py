@@ -1,4 +1,4 @@
-"""The log-exponential test distribution, reproducible RNG streams, and the prior draw.
+"""The log-exponential test distribution and reproducible RNG streams.
 
 X = log(Y) with Y exponential(rate) has cdf 1 - exp(-rate * e^x) on the whole
 real line and a heavy lower tail, which makes it a convenient stress model
@@ -8,41 +8,24 @@ chosen point is exactly the p-quantile.
 All sampling is inverse-CDF on uniforms drawn from the open interval (0, 1),
 so every draw is finite and every draw sequence is a pure function of
 (seed, stream path).  The uniforms are u = k * 2^-53 for exact integers k in
-1..2^53-1 (a 53-bit lattice that excludes both endpoints).  `normal_draw`
-inverts the prior's CDF at one with `statistics.NormalDist.inv_cdf`, Wichura's
-AS 241 (1988), whose C and pure-Python forms round alike.
-
-`LogExponential.lowest(n, k, rng)` returns the k smallest of the n draws that
-`sample(n, rng)` makes, bit for bit, without transforming or sorting the
-other n - k.  Two facts make that exact.  The lattice integers are exact, so
-selecting the k smallest of them (`estimators.smallest` on int64) involves
-no rounding.  The map k -> log(-log1p(-k * 2^-53)) - log(rate) is
-increasing and applied elementwise, so the transform of the k smallest
-integers, in ascending order, is the k smallest draws, in ascending order;
-each value comes from the same integer through the same floating-point
-operations as in `sample`.  `lowest` checks that its output is finite and
-ascending, so a rounding that broke monotonicity would raise instead of
-silently changing results.
+1..2^53-1 (a 53-bit lattice that excludes both endpoints).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
-from .bayes import PriorBelief
 from .errors import DomainError, integer, real
-from .estimators import check_p, check_size, smallest
+from .estimators import check_p, check_size
 
 __all__ = [
     "RngStream",
     "LogExponential",
     "rate_for_quantile",
     "asymptotic_variance",
-    "normal_draw",
 ]
 
 _U64_MAX = 2**64
@@ -104,24 +87,27 @@ class LogExponential:
     def pdf(self, x: float) -> float:
         """Density rate * exp(x - rate * e^x); underflows to 0 in both tails."""
         x = _finite(x)
-        try:
-            t = self.rate * math.exp(x)
-        except OverflowError:
-            return 0.0
+        t = self._rate_exp(x)
         if math.isinf(t):
             return 0.0
-        return self.rate * math.exp(x - t)
+        try:
+            return self.rate * math.exp(x - t)
+        except OverflowError:  # e^x overflowed too, and t came from log(rate) + x
+            return math.exp(math.log(self.rate) + x - t)
 
     def cdf(self, x: float) -> float:
         """P(X <= x) = 1 - exp(-rate * e^x), via expm1 for accuracy near 0."""
-        x = _finite(x)
+        return -math.expm1(-self._rate_exp(_finite(x)))
+
+    def _rate_exp(self, x: float) -> float:
+        """rate * e^x, inf past the float range; exp(log(rate) + x) where e^x alone overflows."""
         try:
-            t = self.rate * math.exp(x)
+            return self.rate * math.exp(x)
         except OverflowError:
-            return 1.0
-        if math.isinf(t):
-            return 1.0
-        return -math.expm1(-t)
+            try:
+                return math.exp(math.log(self.rate) + x)
+            except OverflowError:
+                return math.inf
 
     def quantile(self, q: float) -> float:
         """Inverse CDF: log(-log(1-q) / rate)."""
@@ -131,23 +117,6 @@ class LogExponential:
         """n independent inverse-CDF draws, in draw order, deterministic given the stream."""
         n = check_size(n)
         return self._from_lattice(_lattice(rng.generator(), n))
-
-    def lowest(self, n: int, k: int, rng: RngStream) -> np.ndarray:
-        """The k smallest of the n draws `sample(n, rng)` makes, ascending, bit for bit.
-
-        Costs one O(n) integer select plus O(k log k); only k values are
-        transformed.  Returns a read-only array.
-        """
-        n, count = check_size(n), integer(k)
-        if not 1 <= count <= n:
-            raise DomainError(f"k must be an integer in 1..{n}, got {k!r}")
-        values = self._from_lattice(smallest(_lattice(rng.generator(), n), count))
-        if not np.all(np.isfinite(values)):
-            raise DomainError("draws must all be finite")
-        if np.any(values[1:] < values[:-1]):
-            raise DomainError("the inverse-CDF transform is not monotone on these draws")
-        values.flags.writeable = False
-        return values
 
     def _from_lattice(self, k: np.ndarray) -> np.ndarray:
         # inverse CDF at the lattice uniforms; increasing in k
@@ -190,9 +159,3 @@ def asymptotic_variance(p: float, n: int, density_at_quantile: float) -> float:
             f"density at the quantile must be finite and > 0, got {density_at_quantile!r}"
         )
     return p * (1.0 - p) / (n * density_at_quantile * density_at_quantile)
-
-
-def normal_draw(prior: PriorBelief, rng: RngStream) -> float:
-    """One N(mean, variance) draw by inverse CDF on a single open uniform."""
-    u = float(_unit(_lattice(rng.generator())))
-    return NormalDist(prior.mean, math.sqrt(prior.variance)).inv_cdf(u)

@@ -51,8 +51,10 @@ def observations(values) -> np.ndarray:
 
 
 def smallest(values: np.ndarray, k: int) -> np.ndarray:
-    """The k lowest of trusted values, ascending, 1 <= k <= n: an O(n) select, then a sort of k."""
-    return np.sort(np.partition(values, k - 1)[:k])
+    """The k lowest of trusted values, of each row of a stack, ascending, 1 <= k <= n.
+
+    An O(n) select, then a sort of k."""
+    return np.sort(np.partition(values, k - 1)[..., :k])
 
 
 def check_size(n: int) -> int:

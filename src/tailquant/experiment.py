@@ -3,19 +3,27 @@
 Three estimates of the p-quantile are compared by RMSE per grid cell
 (p, n, sigma^2): the raw sample quantile, and the Bayesian posterior mean
 with the asymptotic (true-density) variance or with the analytic bootstrap
-variance.  `_run_cell` computes a cell in two steps.  First each trial draws
-a true quantile x_p from the prior, calibrates the model to it, and draws
-only the lowest order statistics of its sample: x_(1..r), or x_(1..hi) up to
-the top of the bootstrap weight window when the bootstrap is requested
-(`LogExponential.lowest`, bit for bit the full sample's).  The cell keeps
-x_p, x_(r) and each requested sample variance in `(trials,)` arrays.  Then
-every requested method runs on those arrays, and consumes no randomness.
+variance.  `_run_cell` computes a cell as one block, with no loop over
+trials.  First `_cell_draws` draws every trial's true quantile x_p from the
+prior, and the lowest order statistics x_(1..hi) of its sample, up to the
+top of the bootstrap weight window.  Then every requested method runs on
+those arrays, and consumes no randomness.
 
-Reproducibility contract: every trial owns a substream addressed by the
-content of its grid cell (bit patterns of p and sigma^2, the sample size,
-and the trial index), never by position in the grid.  Removing or adding
-cells, methods, or workers therefore cannot perturb any other cell's draws,
-and results are identical at any worker count.
+Only the lowest draws are transformed: the lattice integers are exact, so
+selecting the hi smallest of them (`estimators.smallest`) involves no
+rounding, and the inverse-CDF transform is increasing and applied
+elementwise, so the transformed selection is, bit for bit, the hi smallest
+of the n transformed draws.  The block is checked to be finite and
+ascending, so a rounding that broke that order would raise instead of
+silently changing results.
+
+Reproducibility contract: every cell owns a stream addressed by its content
+(bit patterns of p and sigma^2, and the sample size), never by its position
+in the grid.  Its child 0 draws the trials' x_p in one call, and its child 1
+the trials' samples as the rows, in trial order, of one (trials, n) lattice
+block.  Removing or adding cells, methods, or workers therefore cannot
+perturb any other cell's draws, results are identical at any worker count,
+and a larger trial count only appends trials.
 """
 
 from __future__ import annotations
@@ -29,11 +37,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bayes import PriorBelief, conjugate_update
+from .bayes import conjugate_update
 from .bootstrap import bootstrap_weights, tail_variance
-from .distributions import RngStream, asymptotic_variance, normal_draw, rate_for_quantile
+from .distributions import RngStream, _lattice, rate_for_quantile
 from .errors import ConfigError, DomainError, EmptyInput, InsufficientSamples, integer, real
-from .estimators import min_sample_size, quantile_rank
+from .estimators import min_sample_size, quantile_rank, smallest
 
 __all__ = [
     "Method",
@@ -65,9 +73,8 @@ CSV_HEADER = "p,n,sigma2,method,rmse,trials,seed"
 _GRID_POINTS = 6
 _MAX_SIZE = 100_000
 
-# substream purposes inside one trial
-_DRAW_QUANTILE = 0
-_DRAW_SAMPLE = 1
+# lattice values per chunk of a cell's sample block; a chunk holds at least one row
+_CHUNK_VALUES = 2**17
 
 
 def _default_sizes(p: float) -> tuple[int, ...]:
@@ -226,43 +233,56 @@ def _float_bits(x: float) -> int:
 
 
 def cell_stream(seed: int, p: float, n: int, sigma2: float) -> RngStream:
-    """The stream of one grid cell, addressed by its content; trial t owns its child t."""
+    """The stream of one grid cell, addressed by its content."""
     return RngStream(seed, (_float_bits(p), int(n), _float_bits(sigma2)))
+
+
+def _cell_draws(config: ExperimentConfig, cell: tuple[float, int, float], k: int):
+    """The x_p of each trial, (trials,), and the k lowest of its n draws, ascending, (trials, k).
+
+    The lattice block is drawn in chunks of rows, which give the bits of one
+    draw, so memory stays O(chunk + trials * k).  Raises DomainError, on the
+    first trial in order, when a drawn x_p has no finite positive rate.
+    """
+    p, n, sigma2 = cell
+    stream = cell_stream(config.seed, p, n, sigma2)
+    z = stream.child(0).generator().standard_normal(config.trials)
+    x_p = config.prior_mean + math.sqrt(sigma2) * z
+    model = rate_for_quantile(0.0, p)  # the model at x_p = 0; x_p shifts its draws
+    with np.errstate(over="ignore"):
+        rates = model.rate * np.exp(-x_p)
+    unrepresentable = np.flatnonzero((rates == 0.0) | (rates == math.inf))
+    if unrepresentable.size:
+        rate_for_quantile(float(x_p[unrepresentable[0]]), p)  # raises the error for that x_p
+    gen, rows = stream.child(1).generator(), max(1, _CHUNK_VALUES // n)
+    lattice = np.concatenate([
+        smallest(_lattice(gen, (min(rows, config.trials - first), n)), k)
+        for first in range(0, config.trials, rows)
+    ])
+    values = x_p[:, None] + model._from_lattice(lattice)
+    if not (np.all(np.isfinite(values)) and np.all(values[:, 1:] >= values[:, :-1])):
+        raise DomainError("the inverse-CDF transform is not finite and monotone on these draws")
+    return x_p, values
 
 
 def _run_cell(config: ExperimentConfig, cell: tuple[float, int, float]) -> dict[Method, float]:
     """RMSE per requested method of one grid cell: the trials' draws, then the methods on arrays."""
     p, n, sigma2 = cell
-    prior = PriorBelief(config.prior_mean, sigma2)
     r = quantile_rank(n, p)
-    weights = bootstrap_weights(n, r) if Method.BAYES_BOOTSTRAP in config.methods else None
-    k = r if weights is None else weights.hi
-    stream = cell_stream(config.seed, p, n, sigma2)
-    truth, quantile = np.empty(config.trials), np.empty(config.trials)
-    # sigma_n^2 per trial, for each requested Bayesian method
-    variances = {m: np.empty(config.trials) for m in config.methods if m is not Method.SAMPLE}
-    for t in range(config.trials):
-        x_p = normal_draw(prior, stream.child(t, _DRAW_QUANTILE))
-        model = rate_for_quantile(x_p, p)
-        tail = model.lowest(n, k, stream.child(t, _DRAW_SAMPLE))
-        truth[t], quantile[t] = x_p, tail[r - 1]
-        if Method.BAYES_KNOWN in variances:
-            variances[Method.BAYES_KNOWN][t] = asymptotic_variance(p, n, model.pdf(x_p))
-        if weights is not None:
-            variances[Method.BAYES_BOOTSTRAP][t] = tail_variance(tail, weights)
-    estimates = {
-        m: conjugate_update(prior.mean, prior.variance, quantile, sn2)[0]
-        for m, sn2 in variances.items()
-    }
+    # hi columns whatever the methods, so a trial's tails do not depend on them
+    weights = bootstrap_weights(n, r)
+    truth, tails = _cell_draws(config, cell, weights.hi)
+    quantile = tails[:, r - 1]
+    big_l = -math.log1p(-p)
+    # the density at x_p is L * (1 - p) for every x_p, so bayes_known has one
+    # asymptotic variance per cell
+    variances = {Method.BAYES_KNOWN: p / (n * big_l * big_l * (1.0 - p))}
+    if Method.BAYES_BOOTSTRAP in config.methods:
+        variances[Method.BAYES_BOOTSTRAP] = tail_variance(tails, weights)
+    estimates = {m: conjugate_update(config.prior_mean, sigma2, quantile, sn2)[0]
+                 for m, sn2 in variances.items() if m in config.methods}
     estimates[Method.SAMPLE] = quantile
-    truths = truth.tolist()
-    # squared as Python floats: float ** 2 is libm pow, which rounds about 1
-    # square in 1,000 differently from numpy's x * x, enough to move the RMSE
-    # bits of a cell with few trials
-    return {
-        m: rmse([(v - x) ** 2 for v, x in zip(estimates[m].tolist(), truths)])
-        for m in config.methods
-    }
+    return {m: rmse((estimates[m] - truth) ** 2) for m in config.methods}
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RmseTable:
@@ -290,9 +310,11 @@ _LIST_KEYS = {"prior_variances", "p_values", "sample_sizes", "methods"}
 _SCALAR_KEYS = {"prior_mean", "trials", "seed"}
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse ``key = value`` lines; lists are comma-separated, # starts a comment."""
-    overrides: dict = {}
+def parse_config(text: str, **overrides) -> ExperimentConfig:
+    """Parse ``key = value`` lines, of which ``overrides`` replace keys, into one config.
+
+    Lists are comma-separated, and # starts a comment."""
+    keys: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -304,8 +326,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"malformed config line {lineno}: {raw.rstrip()!r}")
         if key not in _LIST_KEYS and key not in _SCALAR_KEYS:
             raise ConfigError(f"unknown config key {key!r} on line {lineno}")
-        overrides[key] = parse_value(key, value, f"{key!r} on line {lineno}")
-    return ExperimentConfig(**overrides)
+        keys[key] = parse_value(key, value, f"{key!r} on line {lineno}")
+    return ExperimentConfig(**{**keys, **overrides})
 
 
 def parse_value(key: str, value: str, source: str):
@@ -325,6 +347,6 @@ def parse_value(key: str, value: str, source: str):
         raise ConfigError(f"bad value for {source}: {exc}") from None
 
 
-def read_config(path) -> ExperimentConfig:
+def read_config(path, **overrides) -> ExperimentConfig:
     # utf-8-sig drops a byte-order mark at the start of the file
-    return parse_config(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_config(Path(path).read_text(encoding="utf-8-sig"), **overrides)

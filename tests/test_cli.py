@@ -202,6 +202,11 @@ class TestEstimate:
         assert "together" in err
 
 
+# bound on the peak resident memory of `weights --n 10000000 --p-value 0.5`,
+# set once: the chunked writes measured 40 MB, the list of all lines 915 MB
+PEAK_MB_AT_1E7 = 100
+
+
 class TestWeights:
     def test_two_by_half(self, capsys):
         code, out, _ = run_cli(capsys, "weights", "--n", "2", "--p-value", "0.5")
@@ -250,6 +255,21 @@ class TestWeights:
         code, out, err = run_cli(capsys, "weights", "--n", str(n), "--p-value", str(p))
         assert (code, err) == (0, "")
         assert out == expected.getvalue()
+
+    def test_memory_does_not_grow_with_the_lines_at_1e7(self):
+        # the lines are written in chunks; a child process measures the peak
+        # resident memory of its own child, the `weights` run, alone
+        script = (
+            "import resource, subprocess, sys; "
+            "subprocess.run([sys.executable, '-m', 'tailquant.cli', 'weights', '--n', '10000000', "
+            "'--p-value', '0.5'], stdout=subprocess.DEVNULL, check=True); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(tailquant.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        peak_mb = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mb < PEAK_MB_AT_1E7, f"peak resident memory {peak_mb:.0f} MB"
 
     def test_insufficient_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "weights", "--n", "5", "--p-value", "0.01")
@@ -311,12 +331,11 @@ class TestSimulate:
         assert err == "error: p_values must lie strictly in (0, 1), got -0.001\n"
 
     @pytest.mark.parametrize(
-        "flags,fault",
-        [(("--prior-mean", "-1e3"), "overflows"), (("--sigma2", "1e6"), "underflows to 0")],
-        ids=["prior-mean", "sigma2"],
+        "flags", [("--prior-mean", "-1e3"), ("--sigma2", "1e6")], ids=["prior-mean", "sigma2"]
     )
-    def test_unrepresentable_model_exit_one(self, capsys, tmp_path, flags, fault):
-        # a true quantile near -1000 or +1000 has no finite positive rate
+    def test_unrepresentable_model_exit_one(self, capsys, tmp_path, flags):
+        # a true quantile near -1000 or +1000 has no finite positive rate: the
+        # rate overflows below about -710 and underflows to 0 above about 740
         out_path = tmp_path / "x.csv"
         code, out, err = run_cli(
             capsys, "simulate", "--p", "0.1", "--n", "100", *flags,
@@ -324,8 +343,22 @@ class TestSimulate:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: no log-exponential model has x_p = ")
+        x_p = float(err.removeprefix("error: no log-exponential model has x_p = ").split()[0])
+        fault = "overflows" if x_p < 0.0 else "underflows to 0"
         assert err.endswith(f"the rate {fault}\n") and err.count("\n") == 1
         assert not out_path.exists()
+
+    def test_a_truth_beyond_the_range_of_exp_with_a_representable_model(self, capsys, tmp_path):
+        # x_p = 720: e^x_p overflows and the rate is subnormal, but the model
+        # exists, so every method runs; the density at x_p used to come out 0
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--prior-mean", "720", "--sigma2", "1e-6", "--p", "0.01",
+            "--n", "100", "--trials", "2", "--out", str(out_path),
+        )
+        assert (code, err) == (0, "")
+        rmses = [float(line.split(",")[4]) for line in out_path.read_text().splitlines()[1:]]
+        assert len(rmses) == 3 and all(0.0 < v < 10.0 for v in rmses)
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -365,6 +398,18 @@ class TestSimulate:
         )
         assert code == 0
         assert out_path.read_text().splitlines()[1].split(",")[5] == "3"
+
+    def test_config_keys_are_replaced_before_they_are_checked(self, capsys, tmp_path):
+        # n = 10 cannot resolve the default p-values, but it can resolve the flag's
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sample_sizes = 10\n")
+        out_path = tmp_path / "o.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--p", "0.5", "--trials", "2",
+            "--out", str(out_path),
+        )
+        assert (code, err) == (0, "")
+        assert {line.split(",")[:2] == ["0.5", "10"] for line in out_path.read_text().splitlines()[1:]} == {True}
 
     def test_duplicate_grid_values_make_one_cell(self, capsys, tmp_path):
         # each list keeps its first occurrence of a value, 1 and 1.0 alike

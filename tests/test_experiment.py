@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import tailquant
 from tailquant import experiment
 from tailquant.bayes import PriorBelief, conjugate_update, posterior
 from tailquant.bootstrap import bootstrap_weights, tail_variance
-from tailquant.distributions import asymptotic_variance, normal_draw, rate_for_quantile
+from tailquant.distributions import LogExponential, _lattice, rate_for_quantile
 from tailquant.errors import ConfigError, DomainError, EmptyInput
 from tailquant.estimators import min_sample_size, quantile_rank
 from tailquant.experiment import (
@@ -22,6 +23,7 @@ from tailquant.experiment import (
     Method,
     RmseRow,
     RmseTable,
+    _cell_draws,
     cell_stream,
     parse_config,
     read_config,
@@ -38,39 +40,45 @@ FAST = dict(
 )
 
 
-def reference_trial(p, n, prior, methods, stream):
-    """One trial of the full-sample loop: the drawn x_p and each method's estimate."""
-    x_p = normal_draw(prior, stream.child(0))
-    model = rate_for_quantile(x_p, p)
-    ordered = np.sort(model.sample(n, stream.child(1)))
+def reference_cell(config: ExperimentConfig, cell):
+    """The full-sample loop of one cell: each trial's x_p, and each method's estimates.
+
+    Every row of the cell's lattice block, drawn in one call, is transformed
+    whole and fully sorted, and each trial's estimates come from its sorted
+    row through the scalar posterior.
+    """
+    p, n, s2 = cell
+    prior = PriorBelief(config.prior_mean, s2)
+    stream = cell_stream(config.seed, p, n, s2)
+    z = stream.child(0).generator().standard_normal(config.trials)
+    truth = config.prior_mean + math.sqrt(s2) * z
+    draws = rate_for_quantile(0.0, p)._from_lattice(_lattice(stream.child(1).generator(), (config.trials, n)))
+    ordered = np.sort(truth[:, None] + draws)
     r = quantile_rank(n, p)
-    estimate = float(ordered[r - 1])
+    big_l = -math.log1p(-p)
+    known = p / (n * big_l * big_l * (1.0 - p))
     estimates = {}
-    for m in methods:
+    for m in config.methods:
         if m is Method.SAMPLE:
-            estimates[m] = estimate
-        elif m is Method.BAYES_KNOWN:
-            sn2 = asymptotic_variance(p, n, model.pdf(x_p))
-            estimates[m] = posterior(prior, estimate, sn2).mean
-        else:
-            sn2 = tail_variance(ordered, bootstrap_weights(n, r))
-            estimates[m] = posterior(prior, estimate, sn2).mean
-    return x_p, estimates
+            estimates[m] = ordered[:, r - 1]
+            continue
+        variances = [
+            known if m is Method.BAYES_KNOWN else tail_variance(row, bootstrap_weights(n, r))
+            for row in ordered
+        ]
+        estimates[m] = np.array([
+            posterior(prior, float(row[r - 1]), sn2).mean for row, sn2 in zip(ordered, variances)
+        ])
+    return truth, estimates
 
 
 def reference_experiment(config: ExperimentConfig) -> RmseTable:
-    """The full-sample trial loop: draw and sort all n, then estimate from the whole sorted array."""
+    """The full-sample loop over the whole grid."""
     rows = []
     for p, n, s2 in config.cells():
-        prior = PriorBelief(config.prior_mean, s2)
-        squared = {m: [] for m in config.methods}
-        for t in range(config.trials):
-            stream = cell_stream(config.seed, p, n, s2).child(t)
-            x_p, estimates = reference_trial(p, n, prior, config.methods, stream)
-            for m in config.methods:
-                squared[m].append((estimates[m] - x_p) ** 2)
+        truth, estimates = reference_cell(config, (p, n, s2))
         rows.extend(
-            RmseRow(p, n, s2, m, rmse(squared[m]), config.trials, config.seed)
+            RmseRow(p, n, s2, m, rmse((estimates[m] - truth) ** 2), config.trials, config.seed)
             for m in config.methods
         )
     return RmseTable(tuple(rows))
@@ -183,11 +191,10 @@ class TestRunTrial:
     def test_squared_errors_are_exact_squares(self):
         # the RMSE of one trial is the root of that trial's squared error, to the bit
         config = one_cell(0.2, 40, 1.0, trials=1, seed=5)
-        truth, estimates = reference_trial(
-            0.2, 40, PriorBelief(0.0, 1.0), ALL_METHODS, cell_stream(5, 0.2, 40, 1.0).child(0)
-        )
+        truth, estimates = reference_cell(config, (0.2, 40, 1.0))
         for row in run_experiment(config).rows:
-            assert row.rmse == math.sqrt((estimates[row.method] - truth) ** 2)
+            error = float(estimates[row.method][0] - truth[0])
+            assert row.rmse == math.sqrt(error * error)
 
     def test_methods_consume_no_randomness(self):
         # the drawn truths and sample-based estimates are identical whether or
@@ -201,11 +208,8 @@ class TestRunTrial:
 
     def test_huge_noise_variance_recovers_prior_mean(self):
         prior = PriorBelief(0.0, 1.0)
-        trials = [
-            reference_trial(0.1, 50, prior, (Method.SAMPLE,), cell_stream(17, 0.1, 50, 1.0).child(t))
-            for t in range(20)
-        ]
-        quantiles = np.array([estimates[Method.SAMPLE] for _, estimates in trials])
+        config = one_cell(0.1, 50, 1.0, trials=20, seed=17, methods=(Method.SAMPLE,))
+        quantiles = reference_cell(config, (0.1, 50, 1.0))[1][Method.SAMPLE]
         means = conjugate_update(prior.mean, prior.variance, quantiles, np.full(20, 1e12))[0]
         for xhat, mean in zip(quantiles.tolist(), means.tolist()):
             assert abs(mean - prior.mean) <= 1e-12 * max(1.0, abs(xhat))
@@ -216,30 +220,24 @@ class TestRunTrial:
         # prior variance 1e-20: the Bayesian estimates collapse onto the prior
         # mean and beat the raw sample quantile nearly always
         p, n, trials = 0.1, 10, 1000
-        prior = PriorBelief(0.0, 1e-20)
         config = one_cell(p, n, 1e-20, trials=trials, seed=29)
         assert run_experiment(config).to_csv() == reference_experiment(config).to_csv()
-        wins = 0
-        for t in range(trials):
-            truth, estimates = reference_trial(
-                p, n, prior, ALL_METHODS, cell_stream(29, p, n, 1e-20).child(t)
-            )
-            assert abs(estimates[Method.BAYES_KNOWN] - prior.mean) < 1e-6
-            assert abs(estimates[Method.BAYES_BOOTSTRAP] - prior.mean) < 1e-6
-            squared = {m: (v - truth) ** 2 for m, v in estimates.items()}
-            if (
-                squared[Method.BAYES_KNOWN] <= squared[Method.SAMPLE]
-                and squared[Method.BAYES_BOOTSTRAP] <= squared[Method.SAMPLE]
-            ):
-                wins += 1
+        truth, estimates = reference_cell(config, (p, n, 1e-20))
+        assert np.all(np.abs(estimates[Method.BAYES_KNOWN]) < 1e-6)
+        assert np.all(np.abs(estimates[Method.BAYES_BOOTSTRAP]) < 1e-6)
+        squared = {m: (v - truth) ** 2 for m, v in estimates.items()}
+        wins = np.sum(
+            (squared[Method.BAYES_KNOWN] <= squared[Method.SAMPLE])
+            & (squared[Method.BAYES_BOOTSTRAP] <= squared[Method.SAMPLE])
+        )
         assert wins >= 0.95 * trials
 
     @pytest.mark.parametrize(
         "methods,unused",
         [
-            ((Method.SAMPLE,), ("asymptotic_variance", "bootstrap_weights", "tail_variance")),
-            ((Method.BAYES_KNOWN,), ("bootstrap_weights", "tail_variance")),
-            ((Method.BAYES_BOOTSTRAP,), ("asymptotic_variance",)),
+            ((Method.SAMPLE,), ("conjugate_update", "tail_variance")),
+            ((Method.BAYES_KNOWN,), ("tail_variance",)),
+            ((Method.BAYES_BOOTSTRAP,), ()),
         ],
         ids=["sample", "bayes_known", "bayes_bootstrap"],
     )
@@ -257,11 +255,9 @@ class TestRunExperiment:
     def test_single_trial_rmse_is_absolute_error(self):
         config = one_cell(0.1, 20, 1.0, trials=1, seed=3)
         table = run_experiment(config)
-        truth, estimates = reference_trial(
-            0.1, 20, PriorBelief(0.0, 1.0), config.methods, cell_stream(3, 0.1, 20, 1.0).child(0)
-        )
+        truth, estimates = reference_cell(config, (0.1, 20, 1.0))
         for row in table.rows:
-            assert row.rmse == pytest.approx(abs(estimates[row.method] - truth), rel=1e-15)
+            assert row.rmse == pytest.approx(abs(estimates[row.method][0] - truth[0]), rel=1e-15)
 
     def test_row_count_and_order(self):
         config = ExperimentConfig(**FAST)
@@ -303,8 +299,8 @@ class TestRunExperiment:
 
 
 class TestTailOnlyDraws:
-    # run_experiment draws only the lowest order statistics; its CSV must be
-    # byte-identical to the full-sample loop's
+    # run_experiment transforms and sorts only the lowest order statistics;
+    # its CSV must be byte-identical to the full-sample loop's
     @pytest.mark.parametrize(
         "methods",
         [ALL_METHODS, (Method.SAMPLE,), (Method.SAMPLE, Method.BAYES_KNOWN)],
@@ -323,6 +319,54 @@ class TestTailOnlyDraws:
             prior_variances=(1.0, 0.01), trials=3, seed=11, methods=methods, **grid
         )
         assert run_experiment(config).to_csv() == reference_experiment(config).to_csv()
+
+
+class TestCellStream:
+    """The draws of a cell are the rows, in trial order, of one lattice block."""
+
+    GRID = dict(p_values=(0.01,), sample_sizes=(1000, 20_000), prior_variances=(1.0,),
+                trials=140, seed=41)
+
+    @pytest.mark.parametrize("chunk", ["one-row", "all-rows"])
+    def test_csv_does_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
+        # the default chunk holds 131 rows at n = 1000 and 6 at n = 20000,
+        # so both cells end on a shorter chunk
+        config = ExperimentConfig(**self.GRID)
+        expected = run_experiment(config).to_csv()
+        values = 1 if chunk == "one-row" else config.trials * max(config.sample_sizes)
+        monkeypatch.setattr(experiment, "_CHUNK_VALUES", values)
+        assert run_experiment(config).to_csv() == expected
+
+    @pytest.mark.parametrize("n", [10, 1000, 100_000])
+    def test_more_trials_only_append_rows(self, n):
+        p, k = 0.1, bootstrap_weights(n, quantile_rank(n, 0.1)).hi
+        fewer = _cell_draws(ExperimentConfig(p_values=(p,), sample_sizes=(n,), trials=3), (p, n, 1.0), k)
+        more = _cell_draws(ExperimentConfig(p_values=(p,), sample_sizes=(n,), trials=7), (p, n, 1.0), k)
+        assert fewer[0].tobytes() == more[0][:3].tobytes()
+        assert fewer[1].tobytes() == more[1][:3].tobytes()
+
+    def test_the_first_unrepresentable_truth_is_named(self):
+        # with sigma^2 = 1e6 most drawn x_p lie beyond about +-710, where the
+        # rate overflows or underflows; the error names the first in trial order
+        def representable(x_p):
+            try:
+                return rate_for_quantile(x_p, 0.1).rate > 0.0
+            except DomainError:
+                return False
+
+        z = cell_stream(12345, 0.1, 100, 1e6).child(0).generator().standard_normal(5)
+        first = next(x for x in (1e3 * z).tolist() if not representable(x))
+        with pytest.raises(DomainError, match=re.escape(f"x_p = {first!r} ")):
+            run_experiment(one_cell(0.1, 100, 1e6, trials=5, seed=12345))
+
+    @pytest.mark.parametrize("transform", [
+        lambda self, k: -k * 1.0,
+        lambda self, k: np.where(k > 2**52, np.nan, k * 1.0),
+    ], ids=["descending", "nan"])
+    def test_a_block_that_is_not_finite_and_ascending_raises(self, monkeypatch, transform):
+        monkeypatch.setattr(LogExponential, "_from_lattice", transform)
+        with pytest.raises(DomainError, match="not finite and monotone"):
+            run_experiment(one_cell(0.1, 100, 1.0, trials=20, seed=3))
 
 
 try:

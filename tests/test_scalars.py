@@ -67,10 +67,6 @@ SITES = {
         lambda v: LogExponential(1.0).sample(v, RngStream(1)).tolist(), 5, np.int64(5),
         "sample size must be an integer >= 1, got {!r}",
     ),
-    "lowest-k": (
-        lambda v: LogExponential(1.0).lowest(50, v, RngStream(3)).tolist(), 5, np.int64(5),
-        "k must be an integer in 1..50, got {!r}",
-    ),
     "seed": (
         lambda v: RngStream(v).seed, 3, np.uint64(3),
         "seed must be an unsigned 64-bit integer, got {!r}",
