@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, integer, real
-from .estimators import check_p, check_size
+from .estimators import check_p, check_size, smallest
 
 __all__ = [
     "RngStream",
@@ -117,6 +117,18 @@ class LogExponential:
         """n independent inverse-CDF draws, in draw order, deterministic given the stream."""
         n = check_size(n)
         return self._from_lattice(_lattice(rng.generator(), n))
+
+    def _lowest_rows(self, gen: np.random.Generator, rows: int, n: int, k: int, chunk: int):
+        """The k lowest of n draws, ascending, in each of `rows` rows of one lattice block.
+
+        Drawn `chunk` rows at a time, with the bits of one draw.  Selecting exact
+        lattice integers does not round, and the transform is increasing and
+        elementwise, so these are, bit for bit, the k lowest transformed draws.
+        """
+        return self._from_lattice(np.concatenate([
+            smallest(_lattice(gen, (min(chunk, rows - first), n)), k)
+            for first in range(0, rows, chunk)
+        ]))
 
     def _from_lattice(self, k: np.ndarray) -> np.ndarray:
         # inverse CDF at the lattice uniforms; increasing in k

@@ -9,14 +9,6 @@ prior, and the lowest order statistics x_(1..hi) of its sample, up to the
 top of the bootstrap weight window.  Then every requested method runs on
 those arrays, and consumes no randomness.
 
-Only the lowest draws are transformed: the lattice integers are exact, so
-selecting the hi smallest of them (`estimators.smallest`) involves no
-rounding, and the inverse-CDF transform is increasing and applied
-elementwise, so the transformed selection is, bit for bit, the hi smallest
-of the n transformed draws.  The block is checked to be finite and
-ascending, so a rounding that broke that order would raise instead of
-silently changing results.
-
 Reproducibility contract: every cell owns a stream addressed by its content
 (bit patterns of p and sigma^2, and the sample size), never by its position
 in the grid.  Its child 0 draws the trials' x_p in one call, and its child 1
@@ -39,9 +31,9 @@ import numpy as np
 
 from .bayes import conjugate_update
 from .bootstrap import bootstrap_weights, tail_variance
-from .distributions import RngStream, _lattice, rate_for_quantile
+from .distributions import RngStream, rate_for_quantile
 from .errors import ConfigError, DomainError, EmptyInput, InsufficientSamples, integer, real
-from .estimators import min_sample_size, quantile_rank, smallest
+from .estimators import min_sample_size, quantile_rank
 
 __all__ = [
     "Method",
@@ -241,8 +233,9 @@ def _cell_draws(config: ExperimentConfig, cell: tuple[float, int, float], k: int
     """The x_p of each trial, (trials,), and the k lowest of its n draws, ascending, (trials, k).
 
     The lattice block is drawn in chunks of rows, which give the bits of one
-    draw, so memory stays O(chunk + trials * k).  Raises DomainError, on the
-    first trial in order, when a drawn x_p has no finite positive rate.
+    draw, so memory stays O(chunk + trials * k).  Raises DomainError if the
+    draws are not finite and ascending (a rounding broke their order), or on
+    the first trial whose drawn x_p has no finite positive rate.
     """
     p, n, sigma2 = cell
     stream = cell_stream(config.seed, p, n, sigma2)
@@ -251,15 +244,10 @@ def _cell_draws(config: ExperimentConfig, cell: tuple[float, int, float], k: int
     model = rate_for_quantile(0.0, p)  # the model at x_p = 0; x_p shifts its draws
     with np.errstate(over="ignore"):
         rates = model.rate * np.exp(-x_p)
-    unrepresentable = np.flatnonzero((rates == 0.0) | (rates == math.inf))
-    if unrepresentable.size:
-        rate_for_quantile(float(x_p[unrepresentable[0]]), p)  # raises the error for that x_p
-    gen, rows = stream.child(1).generator(), max(1, _CHUNK_VALUES // n)
-    lattice = np.concatenate([
-        smallest(_lattice(gen, (min(rows, config.trials - first), n)), k)
-        for first in range(0, config.trials, rows)
-    ])
-    values = x_p[:, None] + model._from_lattice(lattice)
+    for first_bad in x_p[(rates == 0.0) | (rates == math.inf)][:1].tolist():
+        rate_for_quantile(first_bad, p)  # raises the error for the first such x_p
+    chunk = max(1, _CHUNK_VALUES // n)
+    values = x_p[:, None] + model._lowest_rows(stream.child(1).generator(), config.trials, n, k, chunk)
     if not (np.all(np.isfinite(values)) and np.all(values[:, 1:] >= values[:, :-1])):
         raise DomainError("the inverse-CDF transform is not finite and monotone on these draws")
     return x_p, values

@@ -331,9 +331,16 @@ class TestSimulate:
         assert err == "error: p_values must lie strictly in (0, 1), got -0.001\n"
 
     @pytest.mark.parametrize(
-        "flags", [("--prior-mean", "-1e3"), ("--sigma2", "1e6")], ids=["prior-mean", "sigma2"]
+        "flags,fault",
+        [
+            (("--prior-mean", "-1e3"), "overflows"),
+            (("--prior-mean", "1e3"), "underflows to 0"),
+            # the default seed's first x_p beyond the range is about -761
+            (("--sigma2", "1e6"), "overflows"),
+        ],
+        ids=["prior-mean", "positive-prior-mean", "sigma2"],
     )
-    def test_unrepresentable_model_exit_one(self, capsys, tmp_path, flags):
+    def test_unrepresentable_model_exit_one(self, capsys, tmp_path, flags, fault):
         # a true quantile near -1000 or +1000 has no finite positive rate: the
         # rate overflows below about -710 and underflows to 0 above about 740
         out_path = tmp_path / "x.csv"
@@ -343,14 +350,12 @@ class TestSimulate:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: no log-exponential model has x_p = ")
-        x_p = float(err.removeprefix("error: no log-exponential model has x_p = ").split()[0])
-        fault = "overflows" if x_p < 0.0 else "underflows to 0"
         assert err.endswith(f"the rate {fault}\n") and err.count("\n") == 1
         assert not out_path.exists()
 
     def test_a_truth_beyond_the_range_of_exp_with_a_representable_model(self, capsys, tmp_path):
         # x_p = 720: e^x_p overflows and the rate is subnormal, but the model
-        # exists, so every method runs; the density at x_p used to come out 0
+        # exists and its density at x_p is positive, so every method runs
         out_path = tmp_path / "x.csv"
         code, _, err = run_cli(
             capsys, "simulate", "--prior-mean", "720", "--sigma2", "1e-6", "--p", "0.01",

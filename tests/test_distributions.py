@@ -14,7 +14,7 @@ from tailquant.distributions import (
     rate_for_quantile,
 )
 from tailquant.errors import DomainError
-from tailquant.estimators import quantile_rank, smallest
+from tailquant.estimators import quantile_rank
 from tailquant.experiment import ExperimentConfig, _cell_draws
 
 
@@ -193,9 +193,9 @@ def lowest_cases() -> list[tuple[int, int]]:
 
 
 class TestLowest:
-    # the k smallest lattice integers of each row, transformed, are bit for
-    # bit the k smallest of the row's transformed draws: the transform is
-    # increasing and applied elementwise
+    # the k smallest lattice integers of each row, drawn 3 rows at a time and
+    # transformed, are bit for bit the k smallest of the row's transformed
+    # draws from one block: the transform is increasing and elementwise
     @pytest.mark.parametrize("n,k", lowest_cases())
     def test_bit_identical_to_sorted_sample(self, n, k):
         rows = 8 if n == 100_000 else 40
@@ -203,7 +203,8 @@ class TestLowest:
         for rate in (1e-8, 0.37, 1.0, 1e8):
             model = LogExponential(rate)
             expected = np.sort(model._from_lattice(lattice))[:, :k]
-            assert model._from_lattice(smallest(lattice, k)).tobytes() == expected.tobytes()
+            lowest = model._lowest_rows(RngStream(2026, (n, k)).generator(), rows, n, k, 3)
+            assert lowest.tobytes() == expected.tobytes()
 
     def test_order_statistic_follows_beta_law(self):
         # F(X_(r)) of n iid draws is Beta(r, n-r+1) distributed, for the

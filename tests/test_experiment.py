@@ -13,7 +13,7 @@ import tailquant
 from tailquant import experiment
 from tailquant.bayes import PriorBelief, conjugate_update, posterior
 from tailquant.bootstrap import bootstrap_weights, tail_variance
-from tailquant.distributions import LogExponential, _lattice, rate_for_quantile
+from tailquant.distributions import LogExponential, rate_for_quantile
 from tailquant.errors import ConfigError, DomainError, EmptyInput
 from tailquant.estimators import min_sample_size, quantile_rank
 from tailquant.experiment import (
@@ -43,16 +43,16 @@ FAST = dict(
 def reference_cell(config: ExperimentConfig, cell):
     """The full-sample loop of one cell: each trial's x_p, and each method's estimates.
 
-    Every row of the cell's lattice block, drawn in one call, is transformed
-    whole and fully sorted, and each trial's estimates come from its sorted
-    row through the scalar posterior.
+    The cell's trials * n draws come from one `sample` call, cut into rows in
+    trial order; each row is fully sorted, and each trial's estimates come
+    from its sorted row through the scalar posterior.
     """
     p, n, s2 = cell
     prior = PriorBelief(config.prior_mean, s2)
     stream = cell_stream(config.seed, p, n, s2)
     z = stream.child(0).generator().standard_normal(config.trials)
     truth = config.prior_mean + math.sqrt(s2) * z
-    draws = rate_for_quantile(0.0, p)._from_lattice(_lattice(stream.child(1).generator(), (config.trials, n)))
+    draws = rate_for_quantile(0.0, p).sample(config.trials * n, stream.child(1)).reshape(config.trials, n)
     ordered = np.sort(truth[:, None] + draws)
     r = quantile_rank(n, p)
     big_l = -math.log1p(-p)

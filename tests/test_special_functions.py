@@ -9,9 +9,8 @@ from scipy import special as sps
 import tailquant.bootstrap as bootstrap
 from tailquant.bootstrap import _GL_NODES, _GL_WEIGHTS, bootstrap_weights
 
-# the standard library's normal quantile, AS 241 (Wichura's PPND16); the
-# prior draw inverted it until it moved to numpy's `standard_normal`, and
-# nothing in the package calls it now
+# the standard normal quantile that `distributions.normal_draw` evaluates:
+# the standard library's AS 241 (Wichura's PPND16)
 normal_quantile = NormalDist().inv_cdf
 
 
@@ -127,7 +126,7 @@ class TestArrayKernel:
 
 
 class TestNormalQuantile:
-    """The normal quantile the prior draw used; its inputs were lattice uniforms, never 0 or 1."""
+    """The prior draw's normal quantile; its inputs are lattice uniforms, never 0 or 1."""
 
     def test_center_and_symmetry(self):
         assert normal_quantile(0.5) == 0.0
