@@ -13,6 +13,9 @@ import argparse
 import itertools
 import re
 import sys
+import warnings
+
+import numpy as np
 
 from .bayes import PriorBelief, posterior
 from .bootstrap import bootstrap_weights, tail_variance
@@ -42,7 +45,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _read_observations(path: str) -> list[float]:
+def _read_observations(path: str) -> np.ndarray | list[float]:
+    """The numbers of a UTF-8 file, one per line, with blank and ``#`` comment lines skipped.
+
+    numpy reads a file of one number on every line, blank lines aside, to `float`'s bits;
+    every other file goes to the line loop, which alone decides the values or the error.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, dtype=np.float64, delimiter=",", comments=None,
+                               ndmin=2, encoding="utf-8-sig")
+    except (ValueError, OSError, Warning):  # the line loop re-reads the file and names the fault
+        pass
+    else:
+        if table.size and table.shape[1] == 1:
+            return table[:, 0]
     values = []
     # utf-8-sig drops a byte-order mark at the start of the file
     with open(path, encoding="utf-8-sig") as fh:

@@ -186,25 +186,28 @@ class TestSampling:
 def lowest_cases() -> list[tuple[int, int]]:
     """(n, k) with k in {1, r, hi, n}, r = max(1, floor(n/100)) and hi its window top."""
     cases = []
-    for n in (1, 2, 37, 1000, 100_000):
+    for n in (1, 2, 37, 1000, 100_000, 150_000):
         r = max(1, n // 100)
         cases.extend((n, k) for k in sorted({1, r, bootstrap_weights(n, r).hi, n}))
     return cases
 
 
 class TestLowest:
-    # the k smallest lattice integers of each row, drawn 3 rows at a time and
-    # transformed, are bit for bit the k smallest of the row's transformed
-    # draws from one block: the transform is increasing and elementwise
+    # the k smallest lattice integers of each row, drawn 3 rows or 1 row at a
+    # time, partitioned in place and transformed, are bit for bit the k smallest
+    # of the row's transformed draws from one block: the transform is
+    # increasing and elementwise.  A simulation cell draws one row at a time
+    # above 2^17 values per row, as at n = 150,000.
     @pytest.mark.parametrize("n,k", lowest_cases())
     def test_bit_identical_to_sorted_sample(self, n, k):
-        rows = 8 if n == 100_000 else 40
+        rows = 8 if n >= 100_000 else 40
         lattice = _lattice(RngStream(2026, (n, k)).generator(), (rows, n))
         for rate in (1e-8, 0.37, 1.0, 1e8):
             model = LogExponential(rate)
             expected = np.sort(model._from_lattice(lattice))[:, :k]
-            lowest = model._lowest_rows(RngStream(2026, (n, k)).generator(), rows, n, k, 3)
-            assert lowest.tobytes() == expected.tobytes()
+            for chunk in (3, 1):
+                lowest = model._lowest_rows(RngStream(2026, (n, k)).generator(), rows, n, k, chunk)
+                assert lowest.tobytes() == expected.tobytes()
 
     def test_order_statistic_follows_beta_law(self):
         # F(X_(r)) of n iid draws is Beta(r, n-r+1) distributed, for the

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -8,10 +7,6 @@ from scipy import special as sps
 
 import tailquant.bootstrap as bootstrap
 from tailquant.bootstrap import _GL_NODES, _GL_WEIGHTS, bootstrap_weights
-
-# the standard normal quantile that `distributions.normal_draw` evaluates:
-# the standard library's AS 241 (Wichura's PPND16)
-normal_quantile = NormalDist().inv_cdf
 
 
 class TestBetaParams:
@@ -123,26 +118,3 @@ class TestArrayKernel:
         block = bootstrap._cell_masses(n, r, 1, n)
         expected = np.array([scalar_cell_mass(n, r, i) for i in cells])
         assert block[np.array(cells) - 1].tobytes() == expected.tobytes()
-
-
-class TestNormalQuantile:
-    """The prior draw's normal quantile; its inputs are lattice uniforms, never 0 or 1."""
-
-    def test_center_and_symmetry(self):
-        assert normal_quantile(0.5) == 0.0
-        for p in (0.01, 0.1, 0.25, 0.4, 0.975):
-            assert normal_quantile(p) == pytest.approx(-normal_quantile(1.0 - p), abs=1e-13)
-
-    def test_matches_scipy_ndtri(self):
-        ps = np.concatenate(
-            [np.geomspace(1e-300, 0.4, 400), np.linspace(0.4, 0.6, 50), 1.0 - np.geomspace(1e-16, 0.4, 200)]
-        )
-        for p in ps:
-            assert normal_quantile(float(p)) == pytest.approx(float(sps.ndtri(p)), abs=1e-9)
-
-    def test_round_trip_with_normal_cdf(self):
-        # upper limit 5.5: beyond it ulp(p)/pdf(x) exceeds the tolerance, a
-        # representation limit of p near 1 rather than an inversion error
-        for x in np.linspace(-8.0, 5.5, 136):
-            p = float(sps.ndtr(x))
-            assert normal_quantile(p) == pytest.approx(float(x), abs=1e-8)
