@@ -477,6 +477,18 @@ def test_a_file_without_observations_is_one_line_exit_one(capsys, tmp_path, cont
     assert (code, out, err) == (1, "", f"error: no observations found in {path}\n")
 
 
+@pytest.mark.parametrize("content", ["", "\n\n"], ids=["empty", "blank-only"])
+def test_no_warning_of_the_numpy_parse_escapes(capsys, tmp_path, content):
+    # numpy warns on a file with no data; the suite turns warnings into errors,
+    # which would hide one that reached a user's stderr
+    path = tmp_path / "none.txt"
+    path.write_text(content, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run_cli(capsys, "estimate", str(path), "--p-value", "0.5")
+    assert (code, caught) == (1, [])
+
+
 def test_a_byte_order_mark_starts_a_file_but_is_malformed_after(capsys, tmp_path):
     plain, marked, inside = tmp_path / "plain.txt", tmp_path / "marked.txt", tmp_path / "inside.txt"
     plain.write_bytes(b"1.0\n2\n3\n")
