@@ -10,6 +10,8 @@ Exit codes: 0 success, 1 usage or input error, 2 insufficient data.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import re
 import sys
@@ -46,32 +48,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_observations(path: str) -> np.ndarray | list[float]:
-    """The numbers of a UTF-8 file, one per line, with blank and ``#`` comment lines skipped.
+    """The numbers of a UTF-8 file, read once, one per line; blank and ``#`` lines are skipped.
 
-    numpy reads a file of one number on every line, blank lines aside, to `float`'s bits;
-    every other file goes to the line loop, which alone decides the values or the error.
+    numpy parses one number on every line to `float`'s bits; the line loop decides other text.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(path, dtype=np.float64, delimiter=",", comments=None,
-                               ndmin=2, encoding="utf-8-sig")
-    except (ValueError, OSError, Warning):  # the line loop re-reads the file and names the fault
-        pass
-    else:
-        if table.size and table.shape[1] == 1:
-            return table[:, 0]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with contextlib.suppress(ValueError, Warning), warnings.catch_warnings():  # the loop names it
+        warnings.simplefilter("error")
+        text = data.decode("utf-8-sig")
+        if "#" not in text:  # numpy would parse every number before it failed on a comment
+            table = np.loadtxt(io.StringIO(text, newline=None), dtype=np.float64, delimiter=",",
+                               comments=None, ndmin=2)
+            if table.size and table.shape[1] == 1:
+                return table[:, 0]
     values = []
-    # utf-8-sig drops a byte-order mark at the start of the file
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise DomainError(f"malformed input at line {lineno}: {line!r}") from None
+    # utf-8-sig drops a leading byte-order mark; the wrapper decodes as reading the file does
+    for lineno, raw in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise DomainError(f"malformed input at line {lineno}: {line!r}") from None
     if not values:
         raise DomainError(f"no observations found in {path}")
     return values

@@ -1,8 +1,10 @@
+import gzip
 import io
 import os
 import resource
 import subprocess
 import sys
+import urllib.request
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -566,10 +568,45 @@ def test_parser_matches_the_line_loop(tmp_path, content):
     assert outcome(cli._read_observations, path) == outcome(reference_read, path)
 
 
-def test_parser_matches_the_line_loop_on_bad_utf8(tmp_path):
-    path = tmp_path / "latin1.txt"
-    path.write_bytes(b"1.5\n\xe9\n")
+@pytest.mark.parametrize(
+    "content",
+    [b"1.5\n\xe9\n", b"1.5\n" * 5000 + b"\xe9\n", b"x\n" + b"1\n" * 5000 + b"\xe9\n",
+     gzip.compress(b"1\n2\n")],
+    ids=["latin1", "past-the-first-chunk", "malformed-line-in-an-earlier-chunk", "gzip"],
+)
+def test_parser_matches_the_line_loop_on_bytes_that_are_not_utf8(tmp_path, content):
+    # the decoding error names a position within the chunk read, as reading the file does
+    path = tmp_path / "data.txt.gz"
+    path.write_bytes(content)
     assert outcome(cli._read_observations, path) == outcome(reference_read, path)
+
+
+@pytest.mark.parametrize("name", ["data.txt", "http://localhost:9/data.txt"])
+def test_a_missing_file_is_not_looked_for_elsewhere(capsys, tmp_path, monkeypatch, name):
+    # neither fetched as a URL nor replaced by a compressed file of the same stem
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: pytest.fail("fetched"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.txt.gz").write_bytes(gzip.compress(b"1\n2\n"))
+    code, out, err = run_cli(capsys, "estimate", name, "--p-value", "0.5")
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: {name!r}\n"
+
+
+@pytest.mark.parametrize(
+    "content", ["1\n2\n3\n", "# a\n1\n2\n3\n", "1\n2\n3\n \n"],
+    ids=["plain", "comment", "whitespace-line"],
+)
+def test_a_pipe_is_read_once(capsys, tmp_path, content):
+    path = tmp_path / "data.txt"
+    path.write_text(content)
+    expected = run_cli(capsys, "estimate", str(path), "--p-value", "0.5")
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, content.encode())
+        os.close(write_end)
+        assert run_cli(capsys, "estimate", f"/dev/fd/{read_end}", "--p-value", "0.5") == expected
+    finally:
+        os.close(read_end)
 
 
 @pytest.mark.parametrize(
@@ -581,7 +618,7 @@ def test_well_formed_files_never_reach_the_line_loop(tmp_path, monkeypatch, cont
     path = tmp_path / "data.txt"
     path.write_text(content, encoding="utf-8", newline="")
     expected = reference_read(path).tobytes()
-    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: pytest.fail("the line loop ran"),
+    monkeypatch.setattr(cli, "float", lambda *args: pytest.fail("the line loop ran"),
                         raising=False)
     assert cli._read_observations(path).tobytes() == expected
 
