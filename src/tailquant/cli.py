@@ -54,12 +54,12 @@ def _read_observations(path: str) -> np.ndarray | list[float]:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    with contextlib.suppress(ValueError, Warning), warnings.catch_warnings():  # the loop names it
+    with contextlib.suppress(ValueError, Warning), warnings.catch_warnings():  # to the loop
         warnings.simplefilter("error")
-        text = data.decode("utf-8-sig")
-        if "#" not in text:  # numpy would parse every number before it failed on a comment
-            table = np.loadtxt(io.StringIO(text, newline=None), dtype=np.float64, delimiter=",",
-                               comments=None, ndmin=2)
+        if b"#" not in data:  # numpy would parse every number before it failed on a comment
+            lines = io.BytesIO(data.removeprefix(b"\xef\xbb\xbf"))  # numpy decodes each alone
+            table = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
+                               encoding="utf-8")
             if table.size and table.shape[1] == 1:
                 return table[:, 0]
     values = []

@@ -536,6 +536,9 @@ PARSER_EDGES = {
     "arabic-indic-digits": "\u0661\u0662\n3\n",
     "bom": "\ufeff1.5\n2\n",
     "bom-mid-file": "1.5\n\ufeff2\n",
+    "two-boms": "\ufeff\ufeff1.5\n",
+    "cr-before-a-number": "\r1\n2\n",
+    "cr-cr-lf": "1\r\r\n2\n",
     "trailing-comment": "1.5 # c\n",
     "comment-lines": "# c\n1\n# d\n2\n",
     "two-numbers": "1 2\n",
@@ -641,7 +644,7 @@ def test_padded_reprs_parse_to_the_same_bits(tmp_path, lines, newline):
                    for value, left, right, blanks in lines)
     path = tmp_path / "floats.txt"
     path.write_text(text, encoding="utf-8", newline="")
-    parsed = cli._read_observations(path)
+    parsed = np.asarray(cli._read_observations(path))
     assert parsed.tobytes() == np.array([value for value, *_ in lines]).tobytes()
     assert parsed.tobytes() == reference_read(path).tobytes()
 
