@@ -15,7 +15,6 @@ import io
 import itertools
 import re
 import sys
-import warnings
 
 import numpy as np
 
@@ -50,18 +49,17 @@ class _Parser(argparse.ArgumentParser):
 def _read_observations(path: str) -> np.ndarray | list[float]:
     """The numbers of a UTF-8 file, read once, one per line; blank and ``#`` lines are skipped.
 
-    numpy parses one number on every line to `float`'s bits; the line loop decides other text.
+    `float` reads a line's bytes only if it is an ASCII number in ASCII whitespace, which the
+    line loop would decode and strip to the same text; the loop decides every other file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    with contextlib.suppress(ValueError, Warning), warnings.catch_warnings():  # to the loop
-        warnings.simplefilter("error")
-        if b"#" not in data:  # numpy would parse every number before it failed on a comment
-            lines = io.BytesIO(data.removeprefix(b"\xef\xbb\xbf"))  # numpy decodes each alone
-            table = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
-                               encoding="utf-8")
-            if table.size and table.shape[1] == 1:
-                return table[:, 0]
+    with contextlib.suppress(ValueError):  # to the loop
+        if b"#" not in data:  # the bytes would be read up to the comment before it failed
+            lines = filter(bytes.strip, io.BytesIO(data.removeprefix(b"\xef\xbb\xbf")))
+            values = np.fromiter(map(float, lines), np.float64)
+            if values.size:
+                return values
     values = []
     # utf-8-sig drops a leading byte-order mark; the wrapper decodes as reading the file does
     for lineno, raw in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig"), 1):

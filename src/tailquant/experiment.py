@@ -301,9 +301,9 @@ _SCALAR_KEYS = {"prior_mean", "trials", "seed"}
 def parse_config(text: str, **overrides) -> ExperimentConfig:
     """Parse ``key = value`` lines, of which ``overrides`` replace keys, into one config.
 
-    Lists are comma-separated, and # starts a comment."""
+    Lists are comma-separated, # starts a comment, and only LF, CR and CRLF end a line."""
     keys: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -213,6 +213,46 @@ class TestWeightWindow:
         reference[reference < _MASS_FLOOR] = 0.0
         np.testing.assert_allclose(weights.window, reference, rtol=0.0, atol=1e-15)
 
+    # (n, r, lo, hi): a central and a small rank at n = 1e8 and 1e9, with the window
+    # (lo, hi] that bootstrap_weights gives them, written out so that only single cells
+    # are evaluated here
+    @pytest.mark.parametrize(
+        "n,r,lo,hi",
+        [(10**8, 5 * 10**7, 49960292, 50039707), (10**8, 1000, 769, 1273),
+         (10**9, 5 * 10**8, 499874435, 500125564), (10**9, 10, 0, 59)],
+    )
+    def test_cell_ratios_match_the_integrand_in_mpmath_beyond_1e7(self, n, r, lo, hi):
+        # No library Beta reaches central ranks at these n, so the reference is the
+        # kernel's own 8-point integrand in 40-digit mpmath, as ratios to cell r.
+        # - Bound: every ratio within rtol = 1e-11 relative; the worst, 6.5e-12 at the
+        #   window's edges at (1e9, 5e8), comes from each log1p term of size |u|.  A
+        #   weight is its ratio over the sum of the ratios, whose relative error is at
+        #   most the largest ratio's, so a weight is off by at most 2 * rtol * max(w)
+        #   absolute: 2e-11 for any window, 5e-16 at (1e9, 5e8), where max(w) is 2.5e-5.
+        # - The rule's own error is not in this comparison.  On a cell of width 1 in u
+        #   it is (8!)^4 / (17 (16!)^3) * f^(16) = 1.7e-23 * f^(16), and f^(16) / f is
+        #   of order 1 where log f changes by less than 1 per cell, as it does in these
+        #   windows but for the first cells at r = 10.  Against 40-digit betainc there,
+        #   the rule is off by 5.9e-13 relative in cell 1, whose weight is 1.1e-7, and
+        #   by 1.1e-16 in cell 2.
+        rtol = 1e-11
+
+        def integrand(i):
+            total = mpmath.mpf(0)
+            for node, weight in zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()):
+                u = i - r - mpmath.mpf(0.5) + mpmath.mpf(node) / 2
+                log_f = (r - 1) * mpmath.log1p(u / r) + (n - r) * mpmath.log1p(-u / (n - r))
+                total += weight * mpmath.exp(log_f)
+            return total
+
+        centre = float(bootstrap._cell_masses(n, r, r, r)[0])
+        with mpmath.workdps(40):
+            reference_centre = integrand(r)
+            for i in np.linspace(lo + 1, hi, 10).round().astype(int).tolist():
+                ratio = float(bootstrap._cell_masses(n, r, i, i)[0]) / centre
+                reference = float(integrand(i) / reference_centre)
+                assert ratio == pytest.approx(reference, rel=rtol, abs=0.0), i
+
     def test_one_block_holds_every_window(self, monkeypatch):
         # the kernel is called once per window, on r +/- (9*isqrt(r) + 40)
         cases = {(n, r) for n in (1, 2, 3, 40, 41, 1000, 9973, 10**5, 10**7) for r in (1, 2, n - 1, n) if 1 <= r <= n}

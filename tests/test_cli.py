@@ -448,6 +448,24 @@ class TestSimulate:
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("comment", ["# note\u2028seed = 7", "# note\x85trials = 0"],
+                             ids=["line-separator", "next-line"])
+    def test_a_config_line_ends_only_at_lf_cr_or_crlf(self, capsys, tmp_path, comment):
+        # str.splitlines would also break at U+2028 and U+0085, and read the rest of
+        # the comment as a key
+        text = "p_values = 0.5\nsample_sizes = 4\ntrials = 2\n"
+        outputs = []
+        for name, body in (("plain", text), ("commented", f"{comment}\n{text}")):
+            cfg, out_path = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+            cfg.write_text(body, encoding="utf-8")
+            code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_path))
+            assert (code, err) == (0, "")
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+        cfg.write_text(f"{comment}\nbogus = 1\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_path))
+        assert (code, err) == (1, "error: unknown config key 'bogus' on line 2\n")
+
     def test_unknown_config_key_exit_one(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")
@@ -481,8 +499,8 @@ def test_a_file_without_observations_is_one_line_exit_one(capsys, tmp_path, cont
 
 @pytest.mark.parametrize("content", ["", "\n\n"], ids=["empty", "blank-only"])
 def test_no_warning_of_the_numpy_parse_escapes(capsys, tmp_path, content):
-    # numpy warns on a file with no data; the suite turns warnings into errors,
-    # which would hide one that reached a user's stderr
+    # numpy's `fromiter` gathers the numbers and must not warn on a file with no data;
+    # the suite turns warnings into errors, which would hide one that reached a user's stderr
     path = tmp_path / "none.txt"
     path.write_text(content, encoding="utf-8")
     with warnings.catch_warnings(record=True) as caught:
@@ -584,6 +602,23 @@ def test_parser_matches_the_line_loop_on_bytes_that_are_not_utf8(tmp_path, conte
     assert outcome(cli._read_observations, path) == outcome(reference_read, path)
 
 
+# every byte, the Unicode spaces beyond ASCII, which str.strip removes and bytes.strip keeps,
+# and the byte-order mark; U+001C-U+001F are the bytes 0x1C-0x1F
+PADS = [bytes([b]) for b in range(256)] + [chr(c).encode() for c in (
+    0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x3000, 0xFEFF)]
+
+
+def test_every_pad_is_read_as_the_line_loop_reads_it(tmp_path):
+    # `float` reads the bytes of a line only when they hold an ASCII number in ASCII
+    # whitespace, which the line loop decodes and strips to the same text
+    path = tmp_path / "padded.txt"
+    for pad in PADS:
+        for number in (b"-1.5", b"2e3", b"inf"):
+            for line in (pad + number, number + pad, number[:1] + pad + number[1:], pad):
+                path.write_bytes(b"1\n" + line + b"\n3\n")
+                assert outcome(cli._read_observations, path) == outcome(reference_read, path), line
+
+
 @pytest.mark.parametrize("name", ["data.txt", "http://localhost:9/data.txt"])
 def test_a_missing_file_is_not_looked_for_elsewhere(capsys, tmp_path, monkeypatch, name):
     # neither fetched as a URL nor replaced by a compressed file of the same stem
@@ -614,15 +649,17 @@ def test_a_pipe_is_read_once(capsys, tmp_path, content):
 
 @pytest.mark.parametrize(
     "content",
-    ["1.5\n-2.25\n", "1.5\r\n-2.25\r\n", "\n 1.5\t\n\n-2.25", "\ufeff7\n", "7\n"],
-    ids=["plain", "crlf", "padded", "bom", "one-value"],
+    ["1.5\n-2.25\n", "1.5\r\n-2.25\r\n", "\n 1.5\t\n\n-2.25", "\ufeff7\n", "7\n",
+     "1\n \t\n2\n", "1\n" * 3000 + " \t\n"],
+    ids=["plain", "crlf", "padded", "bom", "one-value", "whitespace-line", "late-whitespace-line"],
 )
 def test_well_formed_files_never_reach_the_line_loop(tmp_path, monkeypatch, content):
     path = tmp_path / "data.txt"
     path.write_text(content, encoding="utf-8", newline="")
     expected = reference_read(path).tobytes()
-    monkeypatch.setattr(cli, "float", lambda *args: pytest.fail("the line loop ran"),
-                        raising=False)
+    # the line loop is the one reader that decodes the file
+    monkeypatch.setattr(cli.io, "TextIOWrapper",
+                        lambda *args, **kwargs: pytest.fail("the line loop ran"))
     assert cli._read_observations(path).tobytes() == expected
 
 
