@@ -13,13 +13,7 @@ importable from their submodules.
 from .bayes import PosteriorBelief, PriorBelief, posterior
 from .bootstrap import BootstrapWeights, bootstrap_variance, bootstrap_weights
 from .distributions import LogExponential, RngStream, rate_for_quantile
-from .errors import (
-    ConfigError,
-    DomainError,
-    EmptyInput,
-    InsufficientSamples,
-    TailquantError,
-)
+from .errors import ConfigError, DomainError, InsufficientSamples, TailquantError
 from .estimators import quantile_rank, sample_quantile
 from .experiment import ExperimentConfig, Method, RmseTable, run_experiment
 
@@ -29,7 +23,6 @@ __all__ = [
     "BootstrapWeights",
     "ConfigError",
     "DomainError",
-    "EmptyInput",
     "ExperimentConfig",
     "InsufficientSamples",
     "LogExponential",

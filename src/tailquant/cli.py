@@ -144,12 +144,10 @@ def _cmd_simulate(args) -> int:
     table = run_experiment(config, workers=args.workers)
     table.write_csv(args.out)
 
-    by_cell: dict[tuple, list] = {}
-    for row in table.rows:
-        by_cell.setdefault((row.p, row.n, row.sigma2), []).append(row)
-    for (p, n, s2), rows in by_cell.items():
+    # a cell's rows are adjacent; repr is the shortest text that reads back as the float
+    for (p, n, s2), rows in itertools.groupby(table.rows, lambda r: (r.p, r.n, r.sigma2)):
         parts = " ".join(f"{r.method.value}={r.rmse:.6g}" for r in rows)
-        print(f"p={p:g} n={n} sigma2={s2:g} trials={config.trials}: {parts}")
+        print(f"p={p!r} n={n} sigma2={s2!r} trials={config.trials}: {parts}")
     print(f"wrote {args.out} ({len(table.rows)} rows)")
     return EXIT_OK
 

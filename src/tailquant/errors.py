@@ -6,6 +6,7 @@ import numpy as np
 
 _REALS = (float, int, np.floating, np.integer)
 _INTEGERS = (int, np.integer)
+_MAX_SIZE = int(np.iinfo(np.intp).max)  # numpy holds an array length in an intp
 
 
 def real(value) -> float:
@@ -31,20 +32,24 @@ class InsufficientSamples(TailquantError):
 
     Raised when the order-statistic rank floor(n*p) is zero; carries the
     smallest sample size that would make the rank positive, or None when no
-    sample size does (1/p overflows).
+    sample size does (1/p overflows).  ``need`` names that size, or is None:
+    past the largest array length by its bit length, as its digits may run to
+    hundreds.
     """
 
     def __init__(self, p: float, n: int, needed: int | None):
         self.p = p
         self.n = n
         self.needed = needed
-        need = "no n can" if needed is None else f"need n >= {needed} to"
-        super().__init__(f"insufficient samples: {need} resolve p = {p:g} (got n = {n})")
+        if needed is None:
+            self.need = None
+        elif needed > _MAX_SIZE:
+            self.need = f"a {needed.bit_length()}-bit n"
+        else:
+            self.need = f"n >= {needed}"
+        need = "no n can" if needed is None else f"need {self.need} to"
+        super().__init__(f"insufficient samples: {need} resolve p = {p!r} (got n = {n})")
 
 
 class ConfigError(TailquantError, ValueError):
     """An experiment configuration is invalid."""
-
-
-class EmptyInput(TailquantError, ValueError):
-    """An aggregate was requested over an empty collection."""

@@ -6,8 +6,9 @@ represented in floating point; there is no epsilon nudging, so tie cases
 behave identically everywhere in the package.
 
 Estimates read only the lowest order statistics, x_(1..r) or x_(1..hi) up to
-the top of the bootstrap weight window; `smallest`, which selects and sorts
-just those, is the one place where the package orders observations.
+the top of the bootstrap weight window; `smallest` selects and sorts just
+those of outside observations, as `LogExponential._lowest_rows` does in
+place for the draws of a simulated cell.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InsufficientSamples, integer, real
+from .errors import _MAX_SIZE, DomainError, InsufficientSamples, integer, real
 
 __all__ = [
     "observations",
@@ -26,8 +27,6 @@ __all__ = [
     "quantile_rank",
     "min_sample_size",
 ]
-
-_MAX_SIZE = int(np.iinfo(np.intp).max)  # numpy holds an array length in an intp
 
 
 def check_p(p: float) -> float:
@@ -93,7 +92,7 @@ def min_sample_size(p: float) -> int:
     try:
         hi = max(1, math.ceil(1.0 / p))
     except OverflowError:
-        raise DomainError(f"no sample size resolves p = {p:g}: 1/p overflows") from None
+        raise DomainError(f"no sample size resolves p = {p!r}: 1/p overflows") from None
     while math.floor(hi * p) < 1:
         # one float spacing or more: the rounded 1/p may lie just below the edge
         hi += max(1, hi >> 52)

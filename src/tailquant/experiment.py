@@ -20,6 +20,7 @@ and a larger trial count only appends trials.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +33,7 @@ import numpy as np
 from .bayes import conjugate_update
 from .bootstrap import bootstrap_weights, tail_variance
 from .distributions import RngStream, rate_for_quantile
-from .errors import ConfigError, DomainError, EmptyInput, InsufficientSamples, integer, real
+from .errors import ConfigError, DomainError, InsufficientSamples, integer, real
 from .estimators import min_sample_size, quantile_rank
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "RmseRow",
     "RmseTable",
     "CSV_HEADER",
-    "rmse",
     "run_experiment",
     "read_config",
     "parse_config",
@@ -129,17 +129,15 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "methods", methods)
         for p in p_values:
-            for n in self.sizes_for(p):
-                try:
+            try:
+                for n in self.sizes_for(p):
                     quantile_rank(n, p)
-                except InsufficientSamples:
-                    raise ConfigError(
-                        f"(p={p:g}, n={n}) has floor(n*p) = 0; "
-                        f"need n >= {min_sample_size(p)} for p = {p:g}"
-                    ) from None
-                except DomainError as exc:
-                    # the size check: an explicit n, or the default grid's smallest
-                    raise ConfigError(f"{exc} (p = {p:g})") from None
+            except InsufficientSamples as exc:
+                need = "no n can resolve" if exc.need is None else f"need {exc.need} for"
+                raise ConfigError(f"(p={p!r}, n={exc.n}) has floor(n*p) = 0; {need} p = {p!r}") from None
+            except DomainError as exc:
+                # the size check of an explicit n or the default grid's smallest, or no n resolves p
+                raise ConfigError(f"{exc} (p = {p!r})") from None
 
     def sizes_for(self, p: float) -> tuple[int, ...]:
         return self.sample_sizes if self.sample_sizes is not None else _default_sizes(p)
@@ -210,16 +208,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def rmse(squared_errors) -> float:
-    """Root of the arithmetic mean of squared errors (pairwise summation)."""
-    arr = np.asarray(squared_errors, dtype=np.float64)
-    if arr.size == 0:
-        raise EmptyInput("rmse of an empty collection is undefined")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise DomainError("squared errors must be finite and >= 0")
-    return float(np.sqrt(np.mean(arr)))
-
-
 def _float_bits(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
 
@@ -253,8 +241,8 @@ def _cell_draws(config: ExperimentConfig, cell: tuple[float, int, float], k: int
     return x_p, values
 
 
-def _run_cell(config: ExperimentConfig, cell: tuple[float, int, float]) -> dict[Method, float]:
-    """RMSE per requested method of one grid cell: the trials' draws, then the methods on arrays."""
+def _run_cell(config: ExperimentConfig, cell: tuple[float, int, float]) -> list[RmseRow]:
+    """The rows of one grid cell, one per requested method: the trials' draws, then the methods on arrays."""
     p, n, sigma2 = cell
     r = quantile_rank(n, p)
     # hi columns whatever the methods, so a trial's tails do not depend on them
@@ -270,7 +258,8 @@ def _run_cell(config: ExperimentConfig, cell: tuple[float, int, float]) -> dict[
     estimates = {m: conjugate_update(config.prior_mean, sigma2, quantile, sn2)[0]
                  for m, sn2 in variances.items() if m in config.methods}
     estimates[Method.SAMPLE] = quantile
-    return {m: rmse((estimates[m] - truth) ** 2) for m in config.methods}
+    return [RmseRow(p, n, sigma2, m, float(np.sqrt(np.mean((estimates[m] - truth) ** 2))),
+                    config.trials, config.seed) for m in config.methods]
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RmseTable:
@@ -281,21 +270,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RmseTable:
     cells = config.cells()
     if threads > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda c: _run_cell(config, c), cells))
+            per_cell = list(pool.map(lambda c: _run_cell(config, c), cells))
     else:
-        outcomes = [_run_cell(config, cell) for cell in cells]
-    by_cell = dict(zip(cells, outcomes))
-    rows = [
-        RmseRow(p=p, n=n, sigma2=s2, method=m, rmse=by_cell[(p, n, s2)][m],
-                trials=config.trials, seed=config.seed)
-        for (p, n, s2) in cells
-        for m in config.methods
-    ]
-    return RmseTable(tuple(rows))
+        per_cell = [_run_cell(config, cell) for cell in cells]
+    return RmseTable(tuple(itertools.chain.from_iterable(per_cell)))
 
 
-_LIST_KEYS = {"prior_variances", "p_values", "sample_sizes", "methods"}
-_SCALAR_KEYS = {"prior_mean", "trials", "seed"}
+# the reader of each config key's text: of the whole value, or of each comma-separated item
+_SCALAR_READERS = {"prior_mean": float, "trials": int, "seed": int}
+_LIST_READERS = {"prior_variances": float, "p_values": float, "sample_sizes": int, "methods": Method}
 
 
 def parse_config(text: str, **overrides) -> ExperimentConfig:
@@ -312,7 +295,7 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         value = value.split("#", 1)[0].strip()
         if not sep or not key or not value:
             raise ConfigError(f"malformed config line {lineno}: {raw.rstrip()!r}")
-        if key not in _LIST_KEYS and key not in _SCALAR_KEYS:
+        if key not in _SCALAR_READERS and key not in _LIST_READERS:
             raise ConfigError(f"unknown config key {key!r} on line {lineno}")
         keys[key] = parse_value(key, value, f"{key!r} on line {lineno}")
     return ExperimentConfig(**{**keys, **overrides})
@@ -321,16 +304,9 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
 def parse_value(key: str, value: str, source: str):
     """Parse the text of config key ``key``; a bad value raises ConfigError naming ``source``."""
     try:
-        if key in _LIST_KEYS:
-            items = [v.strip() for v in value.split(",") if v.strip()]
-            if key == "methods":
-                return tuple(Method(v) for v in items)
-            if key == "sample_sizes":
-                return tuple(int(v) for v in items)
-            return tuple(float(v) for v in items)
-        if key == "prior_mean":
-            return float(value)
-        return int(value)
+        if key in _SCALAR_READERS:
+            return _SCALAR_READERS[key](value)
+        return tuple(_LIST_READERS[key](v.strip()) for v in value.split(",") if v.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {source}: {exc}") from None
 

@@ -71,6 +71,14 @@ class TestEstimate:
         assert code == 2
         assert err.startswith("insufficient samples: need n >= 20")
 
+    def test_insufficient_samples_names_p_exactly(self, capsys, tmp_path):
+        # with :g the level read "p = 1"
+        path = tmp_path / "one.txt"
+        path.write_text("1\n")
+        code, out, err = run_cli(capsys, "estimate", str(path), "--p-value", "0.99999999")
+        assert (code, out) == (2, "")
+        assert err == "insufficient samples: need n >= 2 to resolve p = 0.99999999 (got n = 1)\n"
+
     def test_malformed_input_exit_one(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1.0\ntwo\n3.0\n")
@@ -298,6 +306,26 @@ class TestSimulate:
         assert len(lines) == 1 + 2 * 2 * 3
         assert f"wrote {out_path}" in out
         assert "p=0.1 n=10 sigma2=1" in out
+
+    def test_summary_has_one_line_per_csv_cell(self, capsys, tmp_path):
+        # with :g both levels printed as p=0.01
+        out_path = tmp_path / "rmse.csv"
+        code, out, _ = run_cli(
+            capsys, "simulate", "--p", "0.01,0.0100000001", "--n", "100,200", "--sigma2", "1,0.1",
+            "--trials", "3", "--methods", "bayes_bootstrap,sample", "--out", str(out_path),
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+        cells = list(zip(rows[::2], rows[1::2]))
+        summary = out.splitlines()[:-1]
+        assert len(summary) == len(cells) == 8
+        for line, cell in zip(summary, cells):
+            label, parts = line.split(": ")
+            p, n, s2, trials = (field.split("=")[1] for field in label.split())
+            assert all(row[:3] == cell[0][:3] for row in cell)
+            assert (float(p), int(n), float(s2), trials) == (
+                float(cell[0][0]), int(cell[0][1]), float(cell[0][2]), cell[0][5])
+            assert parts.split() == [f"{row[3]}={float(row[4]):.6g}" for row in cell]
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -751,3 +779,5 @@ def test_a_level_too_small_for_any_size_ends_in_one_line(tmp_path, argv, code, m
     )
     assert (proc.returncode, proc.stdout) == (code, "")
     assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+    # the smallest n of 1e-300 has 301 digits; it is named by its bit length
+    assert len(proc.stderr) <= 201

@@ -14,7 +14,7 @@ from tailquant import experiment
 from tailquant.bayes import PriorBelief, conjugate_update, posterior
 from tailquant.bootstrap import bootstrap_weights, tail_variance
 from tailquant.distributions import LogExponential, rate_for_quantile
-from tailquant.errors import ConfigError, DomainError, EmptyInput
+from tailquant.errors import ConfigError, DomainError
 from tailquant.estimators import min_sample_size, quantile_rank
 from tailquant.experiment import (
     ALL_METHODS,
@@ -27,7 +27,6 @@ from tailquant.experiment import (
     cell_stream,
     parse_config,
     read_config,
-    rmse,
     run_experiment,
 )
 
@@ -78,7 +77,8 @@ def reference_experiment(config: ExperimentConfig) -> RmseTable:
     for p, n, s2 in config.cells():
         truth, estimates = reference_cell(config, (p, n, s2))
         rows.extend(
-            RmseRow(p, n, s2, m, rmse((estimates[m] - truth) ** 2), config.trials, config.seed)
+            RmseRow(p, n, s2, m, float(np.sqrt(np.mean((estimates[m] - truth) ** 2))),
+                    config.trials, config.seed)
             for m in config.methods
         )
     return RmseTable(tuple(rows))
@@ -89,25 +89,6 @@ def one_cell(p, n, sigma2, trials, seed, methods=ALL_METHODS, prior_mean=0.0):
         prior_mean=prior_mean, prior_variances=(sigma2,), p_values=(p,),
         sample_sizes=(n,), trials=trials, seed=seed, methods=methods,
     )
-
-
-class TestRmse:
-    def test_all_zero(self):
-        assert rmse([0.0, 0.0, 0.0]) == 0.0
-
-    def test_two_values(self):
-        assert rmse([9.0, 16.0]) == pytest.approx(math.sqrt(12.5), rel=1e-15)
-
-    def test_singleton(self):
-        assert rmse([4.0]) == 2.0
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            rmse([])
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            rmse([1.0, -0.5])
 
 
 class TestExperimentConfig:
@@ -161,6 +142,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig(p_values=(p,), sample_sizes=sizes, trials=2)
 
+    @pytest.mark.parametrize("sizes", [(100,), None], ids=["explicit", "default-grid"])
+    def test_a_level_no_size_resolves_is_a_config_error(self, sizes):
+        # 1/p overflows, and asking min_sample_size again raised DomainError
+        with pytest.raises(ConfigError, match=r"p = 5e-324"):
+            ExperimentConfig(p_values=(5e-324,), sample_sizes=sizes, trials=2)
+
     def test_rejects_unknown_method(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(methods=("sample", "oracle"))
@@ -185,8 +172,8 @@ class TestRunTrial:
         config = one_cell(0.1, 30, 0.5, trials=5, seed=11)
         first = experiment._run_cell(config, (0.1, 30, 0.5))
         second = experiment._run_cell(config, (0.1, 30, 0.5))
-        assert list(first) == list(ALL_METHODS)
-        assert all(first[m].hex() == second[m].hex() for m in ALL_METHODS)
+        assert [row.method for row in first] == list(ALL_METHODS)
+        assert [row.rmse.hex() for row in first] == [row.rmse.hex() for row in second]
 
     def test_squared_errors_are_exact_squares(self):
         # the RMSE of one trial is the root of that trial's squared error, to the bit
