@@ -22,17 +22,15 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, real
+from .errors import DomainError, checked, real
 
 __all__ = ["PriorBelief", "PosteriorBelief", "posterior", "conjugate_update"]
 
 
 def _check_variance(name: str, value: float, *, allow_zero: bool = False) -> float:
-    variance = real(value)
-    if not (math.isfinite(variance) and (variance > 0.0 or (allow_zero and variance == 0.0))):
-        bound = ">= 0" if allow_zero else "> 0"
-        raise DomainError(f"{name} must be finite and {bound}, got {value!r}")
-    return variance
+    if allow_zero:
+        return checked(name, value, real, lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
+    return checked(name, value, real, lambda v: 0.0 < v < math.inf, "be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -43,9 +41,7 @@ class PriorBelief:
     variance: float
 
     def __post_init__(self):
-        mean = real(self.mean)
-        if not math.isfinite(mean):
-            raise DomainError(f"prior mean must be finite, got {self.mean!r}")
+        mean = checked("prior mean", self.mean, real, math.isfinite, "be finite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variance", _check_variance("prior variance", self.variance))
 
@@ -75,9 +71,7 @@ def posterior(prior: PriorBelief, xhat: float, sample_variance: float) -> Poster
     ``sample_variance`` is sigma_n^2, finite and >= 0: the true-density
     variance or the analytic bootstrap estimate.
     """
-    estimate = real(xhat)
-    if not math.isfinite(estimate):
-        raise DomainError(f"sample quantile must be finite, got {xhat!r}")
+    estimate = checked("sample quantile", xhat, real, math.isfinite, "be finite")
     sample_variance = _check_variance("sample variance", sample_variance, allow_zero=True)
     mean, variance, weight = conjugate_update(prior.mean, prior.variance, estimate, sample_variance)
     return PosteriorBelief(mean=mean, variance=variance, prior_weight=weight)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, integer, real
+from .errors import DomainError, checked, integer, real
 from .estimators import check_p, check_size
 
 __all__ = [
@@ -44,11 +44,10 @@ class RngStream:
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        seed, path = integer(self.seed), tuple(map(integer, self.path))
-        if not 0 <= seed < _U64_MAX:
-            raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not all(i >= 0 for i in path):
-            raise DomainError(f"stream path must be non-negative integers, got {self.path!r}")
+        seed = checked("seed", self.seed, integer, lambda s: 0 <= s < _U64_MAX,
+                       "be an unsigned 64-bit integer")
+        path = checked("stream path", self.path, lambda p: tuple(map(integer, p)),
+                       lambda p: all(i >= 0 for i in p), "be non-negative integers")
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "path", path)
 
@@ -79,9 +78,7 @@ class LogExponential:
     rate: float
 
     def __post_init__(self):
-        rate = real(self.rate)
-        if not (math.isfinite(rate) and rate > 0.0):
-            raise DomainError(f"rate must be finite and > 0, got {self.rate!r}")
+        rate = checked("rate", self.rate, real, lambda r: 0.0 < r < math.inf, "be finite and > 0")
         object.__setattr__(self, "rate", rate)
 
     def pdf(self, x: float) -> float:
@@ -138,10 +135,7 @@ class LogExponential:
 
 
 def _finite(x: float) -> float:
-    value = real(x)
-    if not math.isfinite(value):
-        raise DomainError(f"evaluation point must be finite, got {x!r}")
-    return value
+    return checked("evaluation point", x, real, math.isfinite, "be finite")
 
 
 def rate_for_quantile(x_p: float, p: float) -> LogExponential:
@@ -168,8 +162,6 @@ def asymptotic_variance(p: float, n: int, density_at_quantile: float) -> float:
     """Large-n variance p(1-p) / (n * f(x_p)^2) of the sample p-quantile."""
     p = check_p(p)
     n = check_size(n)
-    if not (math.isfinite(density_at_quantile) and density_at_quantile > 0.0):
-        raise DomainError(
-            f"density at the quantile must be finite and > 0, got {density_at_quantile!r}"
-        )
-    return p * (1.0 - p) / (n * density_at_quantile * density_at_quantile)
+    f = checked("density at the quantile", density_at_quantile, real, lambda f: 0.0 < f < math.inf,
+                "be finite and > 0")
+    return p * (1.0 - p) / (n * f * f)

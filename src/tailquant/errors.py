@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the readers of outside scalars."""
+"""Exception types shared across the package, the readers of outside scalars, and `checked`."""
 
 import math
 
@@ -53,3 +53,11 @@ class InsufficientSamples(TailquantError):
 
 class ConfigError(TailquantError, ValueError):
     """An experiment configuration is invalid."""
+
+
+def checked(name, value, read, valid, rule, error=DomainError):
+    """``read(value)`` if ``valid`` accepts it, else raise ``error``: "<name> must <rule>, got <value!r>"."""
+    got = read(value)
+    if not valid(got):
+        raise error(f"{name} must {rule}, got {value!r}")
+    return got

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import _MAX_SIZE, DomainError, InsufficientSamples, integer, real
+from .errors import _MAX_SIZE, DomainError, InsufficientSamples, checked, integer, real
 
 __all__ = [
     "observations",
@@ -31,10 +31,7 @@ __all__ = [
 
 def check_p(p: float) -> float:
     """The probability level p as a float; raises unless 0 < p < 1."""
-    level = real(p)
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"probability level must satisfy 0 < p < 1, got {p!r}")
-    return level
+    return checked("probability level", p, real, lambda v: 0.0 < v < 1.0, "satisfy 0 < p < 1")
 
 
 def observations(values) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 from .bayes import conjugate_update
 from .bootstrap import bootstrap_weights, tail_variance
 from .distributions import RngStream, rate_for_quantile
-from .errors import ConfigError, DomainError, InsufficientSamples, integer, real
+from .errors import ConfigError, DomainError, InsufficientSamples, checked, integer, real
 from .estimators import min_sample_size, quantile_rank
 
 __all__ = [
@@ -63,7 +63,7 @@ ALL_METHODS = (Method.SAMPLE, Method.BAYES_KNOWN, Method.BAYES_BOOTSTRAP)
 CSV_HEADER = "p,n,sigma2,method,rmse,trials,seed"
 
 _GRID_POINTS = 6
-_MAX_SIZE = 100_000
+_DEFAULT_TOP_N = 100_000
 
 # lattice values per chunk of a cell's sample block; a chunk holds at least one row
 _CHUNK_VALUES = 2**17
@@ -72,10 +72,41 @@ _CHUNK_VALUES = 2**17
 def _default_sizes(p: float) -> tuple[int, ...]:
     """Log-spaced sample sizes from the smallest usable n up to 1e5."""
     lo = min_sample_size(p)
-    if lo >= _MAX_SIZE:
+    if lo >= _DEFAULT_TOP_N:
         return (lo,)
-    grid = np.geomspace(lo, _MAX_SIZE, _GRID_POINTS)
+    grid = np.geomspace(lo, _DEFAULT_TOP_N, _GRID_POINTS)
     return tuple(dict.fromkeys(int(round(v)) for v in grid))
+
+
+# each config key: the reader of its text (of the whole value, or of each comma-separated
+# item of a list key), the reader of its value (of each element), the rule and its text
+_FIELDS = {
+    "prior_mean": (float, real, math.isfinite, "be finite"),
+    "prior_variances": (float, real, lambda v: 0.0 < v < math.inf, "be finite and > 0"),
+    "p_values": (float, real, lambda p: 0.0 < p < 1.0, "lie strictly in (0, 1)"),
+    # n >= 1 is False for the NaN that `integer` returns for a non-integer
+    "sample_sizes": (int, integer, lambda n: n >= 1, "be integers >= 1"),
+    "trials": (int, integer, lambda n: n >= 1, "be an integer >= 1"),
+    "seed": (int, integer, lambda s: 0 <= s < 2**64, "be an unsigned 64-bit integer"),
+    # `Method` raises for a name it does not know, so every element it returns is valid
+    "methods": (Method, Method, lambda m: True, "be method names"),
+}
+_LISTS = {"prior_variances", "p_values", "sample_sizes", "methods"}
+
+
+def _elements(name, seq, read, valid, rule):
+    """Each element of a list field through `checked`, duplicates dropped in first-occurrence order.
+
+    Raises ConfigError echoing the first invalid element, or with `Method`'s text for an unknown name.
+    """
+    items = tuple(seq)
+    if not items:
+        raise ConfigError(f"{name} must not be empty")
+    try:
+        values = tuple(checked(name, item, read, valid, rule, ConfigError) for item in items)
+    except ValueError as exc:  # `Method`'s own text; a ConfigError keeps its text
+        raise ConfigError(str(exc)) from None
+    return tuple(dict.fromkeys(values))
 
 
 @dataclass(frozen=True)
@@ -96,39 +127,15 @@ class ExperimentConfig:
     methods: tuple[Method, ...] = ALL_METHODS
 
     def __post_init__(self):
-        prior_mean = real(self.prior_mean)
-        if not math.isfinite(prior_mean):
-            raise ConfigError(f"prior_mean must be finite, got {self.prior_mean!r}")
-        variances = _elements("prior_variances", self.prior_variances, real,
-                              lambda v: math.isfinite(v) and v > 0.0, "be finite and > 0")
-        p_values = _elements("p_values", self.p_values, real,
-                             lambda p: 0.0 < p < 1.0, "lie strictly in (0, 1)")
-        sizes = self.sample_sizes
-        if sizes is not None:
-            # n >= 1 is False for the NaN that `integer` returns for a non-integer
-            sizes = _elements("sample_sizes", sizes, integer, lambda n: n >= 1, "be integers >= 1")
-        trials = integer(self.trials)
-        if not trials >= 1:
-            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
-        seed = integer(self.seed)
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        try:
-            methods = tuple(
-                m if isinstance(m, Method) else Method(m)
-                for m in _non_empty("methods", self.methods)
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        methods = tuple(dict.fromkeys(methods))
-        object.__setattr__(self, "prior_mean", prior_mean)
-        object.__setattr__(self, "prior_variances", variances)
-        object.__setattr__(self, "p_values", p_values)
-        object.__setattr__(self, "sample_sizes", sizes)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "methods", methods)
-        for p in p_values:
+        for key, (_, read, valid, rule) in _FIELDS.items():
+            value = getattr(self, key)
+            if key not in _LISTS:
+                value = checked(key, value, read, valid, rule, ConfigError)
+            elif value is not None or key != "sample_sizes":  # sample_sizes None: a grid per p
+                value = _elements(key, value, read, valid, rule)
+            object.__setattr__(self, key, value)
+        for p in self.p_values:
+            n = None
             try:
                 for n in self.sizes_for(p):
                     quantile_rank(n, p)
@@ -136,8 +143,9 @@ class ExperimentConfig:
                 need = "no n can resolve" if exc.need is None else f"need {exc.need} for"
                 raise ConfigError(f"(p={p!r}, n={exc.n}) has floor(n*p) = 0; {need} p = {p!r}") from None
             except DomainError as exc:
-                # the size check of an explicit n or the default grid's smallest, or no n resolves p
-                raise ConfigError(f"{exc} (p = {p!r})") from None
+                # only the size check, of an explicit n or the default grid's smallest, lacks p;
+                # the default grid of a p that no n resolves fails before any n
+                raise ConfigError(str(exc) if n is None else f"{exc} (p = {p!r})") from None
 
     def sizes_for(self, p: float) -> tuple[int, ...]:
         return self.sample_sizes if self.sample_sizes is not None else _default_sizes(p)
@@ -150,26 +158,6 @@ class ExperimentConfig:
             for n in self.sizes_for(p)
             for s2 in self.prior_variances
         ]
-
-
-def _non_empty(name, seq):
-    seq = tuple(seq)
-    if not seq:
-        raise ConfigError(f"{name} must not be empty")
-    return seq
-
-
-def _elements(name, seq, read, valid, rule):
-    """Each element of a list field through ``read``, duplicates dropped in first-occurrence order.
-
-    Raises ConfigError echoing the first invalid element.
-    """
-    items = _non_empty(name, seq)
-    values = tuple(map(read, items))
-    for item, value in zip(items, values):
-        if not valid(value):
-            raise ConfigError(f"{name} must {rule}, got {item!r}")
-    return tuple(dict.fromkeys(values))
 
 
 @dataclass(frozen=True)
@@ -264,9 +252,7 @@ def _run_cell(config: ExperimentConfig, cell: tuple[float, int, float]) -> list[
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RmseTable:
     """RMSE table over the whole grid; deterministic for any worker count >= 1."""
-    threads = integer(workers)
-    if not threads >= 1:
-        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+    threads = checked("workers", workers, integer, lambda w: w >= 1, "be an integer >= 1", ConfigError)
     cells = config.cells()
     if threads > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -274,11 +260,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RmseTable:
     else:
         per_cell = [_run_cell(config, cell) for cell in cells]
     return RmseTable(tuple(itertools.chain.from_iterable(per_cell)))
-
-
-# the reader of each config key's text: of the whole value, or of each comma-separated item
-_SCALAR_READERS = {"prior_mean": float, "trials": int, "seed": int}
-_LIST_READERS = {"prior_variances": float, "p_values": float, "sample_sizes": int, "methods": Method}
 
 
 def parse_config(text: str, **overrides) -> ExperimentConfig:
@@ -295,7 +276,7 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         value = value.split("#", 1)[0].strip()
         if not sep or not key or not value:
             raise ConfigError(f"malformed config line {lineno}: {raw.rstrip()!r}")
-        if key not in _SCALAR_READERS and key not in _LIST_READERS:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r} on line {lineno}")
         keys[key] = parse_value(key, value, f"{key!r} on line {lineno}")
     return ExperimentConfig(**{**keys, **overrides})
@@ -303,10 +284,11 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
 
 def parse_value(key: str, value: str, source: str):
     """Parse the text of config key ``key``; a bad value raises ConfigError naming ``source``."""
+    read = _FIELDS[key][0]
     try:
-        if key in _SCALAR_READERS:
-            return _SCALAR_READERS[key](value)
-        return tuple(_LIST_READERS[key](v.strip()) for v in value.split(",") if v.strip())
+        if key not in _LISTS:
+            return read(value)
+        return tuple(read(v.strip()) for v in value.split(",") if v.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {source}: {exc}") from None
 

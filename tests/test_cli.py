@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import tailquant
 import tailquant.cli as cli
+import tailquant.experiment as experiment
 from tailquant.bootstrap import bootstrap_weights
 from tailquant.cli import main
 from tailquant.errors import DomainError
@@ -437,6 +438,10 @@ class TestSimulate:
         )
         assert code == 0
         assert out_path.read_text().splitlines()[1].split(",")[5] == "3"
+
+    def test_every_config_key_has_its_flag(self):
+        # the README promises that a flag overrides each key of a config file
+        assert sorted(key for key, _ in cli._CONFIG_FLAGS.values()) == sorted(experiment._FIELDS)
 
     def test_config_keys_are_replaced_before_they_are_checked(self, capsys, tmp_path):
         # n = 10 cannot resolve the default p-values, but it can resolve the flag's

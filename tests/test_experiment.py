@@ -145,8 +145,9 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("sizes", [(100,), None], ids=["explicit", "default-grid"])
     def test_a_level_no_size_resolves_is_a_config_error(self, sizes):
         # 1/p overflows, and asking min_sample_size again raised DomainError
-        with pytest.raises(ConfigError, match=r"p = 5e-324"):
+        with pytest.raises(ConfigError, match=r"p = 5e-324") as exc:
             ExperimentConfig(p_values=(5e-324,), sample_sizes=sizes, trials=2)
+        assert str(exc.value).count("p = 5e-324") == 1
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ConfigError):

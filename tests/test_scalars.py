@@ -10,7 +10,7 @@ import pytest
 
 from tailquant.bayes import PriorBelief, posterior
 from tailquant.bootstrap import bootstrap_weights
-from tailquant.distributions import LogExponential, RngStream
+from tailquant.distributions import LogExponential, RngStream, asymptotic_variance
 from tailquant.errors import TailquantError
 from tailquant.estimators import quantile_rank, sample_quantile
 from tailquant.experiment import ExperimentConfig, run_experiment
@@ -63,6 +63,14 @@ SITES = {
         lambda v: LogExponential(v).rate, 1.0, np.float32(1.0),
         "rate must be finite and > 0, got {!r}",
     ),
+    "pdf": (
+        lambda v: LogExponential(1.0).pdf(v), 0.5, np.float32(0.5),
+        "evaluation point must be finite, got {!r}",
+    ),
+    "asymptotic_variance-density": (
+        lambda v: asymptotic_variance(0.1, 10, v), 0.5, np.float32(0.5),
+        "density at the quantile must be finite and > 0, got {!r}",
+    ),
     "sample-n": (
         lambda v: LogExponential(1.0).sample(v, RngStream(1)).tolist(), 5, np.int64(5),
         "sample size must be an integer >= 1, got {!r}",
@@ -70,6 +78,10 @@ SITES = {
     "seed": (
         lambda v: RngStream(v).seed, 3, np.uint64(3),
         "seed must be an unsigned 64-bit integer, got {!r}",
+    ),
+    "config-prior_mean": (
+        lambda v: ExperimentConfig(prior_mean=v).prior_mean, 0.5, np.float32(0.5),
+        "prior_mean must be finite, got {!r}",
     ),
     "config-trials": (
         lambda v: ExperimentConfig(trials=v).trials, 5, np.int64(5),
